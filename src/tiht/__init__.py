@@ -29,8 +29,6 @@ from .formats import (
     ht_rank,
     ht_right_orthogonalize,
     ht_truncate,
-    rank_of,
-    reconstruct,
     truncate,
     tt_rank,
     tt_truncate,

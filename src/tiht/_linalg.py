@@ -1,4 +1,4 @@
-"""Shared SVD helpers: sign fixing, numerical rank, truncated left bases."""
+"""Shared SVD helpers: sign fixing and truncated left bases."""
 
 from __future__ import annotations
 
@@ -31,14 +31,6 @@ def signed_svd(M: np.ndarray):
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     U, Vt = fix_svd_signs(U, Vt)
     return U, s, Vt
-
-
-def numerical_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
-    """Count singular values above max(m, n) * eps * sigma_max."""
-    if s.size == 0 or s[0] == 0:
-        return 0
-    tol = max(shape) * np.finfo(np.float64).eps * s[0]
-    return int(np.count_nonzero(s > tol))
 
 
 def top_left_vectors(M: np.ndarray, r: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import FORMATS
 from .measurements import MeasurementEnsemble
 from .tensors import frobenius_norm
 
@@ -90,7 +91,7 @@ class SampleComplexityBound:
 
 
 def _check_formula_args(fmt, d, n, r):
-    if fmt not in ("hosvd", "tt", "ht"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown tensor format {fmt!r}")
     if d < 1 or n < 1 or r < 1:
         raise ValueError("d, n, r must be positive")

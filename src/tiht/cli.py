@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import analysis, experiments, measurements, solvers
+from .formats import FORMATS
 
 __all__ = ["main", "build_parser"]
 
@@ -56,7 +57,7 @@ def _default_grid() -> tuple[int, ...]:
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", type=_parse_shape, default=(10, 10, 10), help="tensor extents, e.g. 10x10x10")
     p.add_argument("--rank", type=_parse_rank, default=(1, 1, 1), help="target rank tuple, e.g. 1,1,1")
-    p.add_argument("--format", choices=("hosvd", "tt", "ht"), default="hosvd")
+    p.add_argument("--format", choices=FORMATS, default="hosvd")
     p.add_argument("--ensemble", choices=("gaussian", "fourier", "completion"), default="gaussian")
     p.add_argument("--variant", choices=("ctiht", "ntiht"), default="ntiht")
     p.add_argument("--seed", type=int, default=0)
@@ -68,14 +69,10 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 def _solver_rank(args):
     if args.format == "ht":
         # uniform rank over the balanced tree when a single value is given
-        return args.rank[0] if len(set(args.rank)) == 1 else dict_rank_error()
-    if args.format == "tt" and len(args.rank) == len(args.shape):
-        raise SystemExit("TT rank tuple must have length d-1")
+        if len(set(args.rank)) != 1:
+            raise ValueError("HT ranks on the CLI must be a single uniform value, e.g. --rank 2")
+        return args.rank[0]
     return args.rank
-
-
-def dict_rank_error():
-    raise SystemExit("HT ranks on the CLI must be a single uniform value, e.g. --rank 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="evaluate the sample-complexity and covering formulas")
-    p.add_argument("--format", choices=("hosvd", "tt", "ht"), default="hosvd")
+    p.add_argument("--format", choices=FORMATS, default="hosvd")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--r", type=int, default=1)
@@ -130,7 +127,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_recover(args) -> int:
     if (args.nbar is None) == (args.m is None):
-        raise SystemExit("recover needs exactly one of --nbar / --m")
+        raise ValueError("recover needs exactly one of --nbar / --m")
     shape = args.shape
     N = int(np.prod(shape))
     m = args.m if args.m is not None else -(-N * args.nbar // 100)
@@ -260,11 +257,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         parser.exit(2, f"tiht {args.command}: {exc}\n")
-    return 0
 
 
 if __name__ == "__main__":

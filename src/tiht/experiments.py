@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import DimensionTree, normalize_ht_ranks
+from .formats import DimensionTree, clamp_ranks, default_tree, normalize_ht_ranks
 from .measurements import draw
 from .solvers import SolverConfig, tiht_run
 from .tensors import check_shape
@@ -74,9 +74,8 @@ def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None 
     if fmt == "hosvd":
         return generate_test_tensor(dims, rank, rng)
     if fmt == "tt":
+        clamp_ranks("tt", rank, dims)  # validation only: the cores keep the ranks asked for
         r = tuple(int(v) for v in rank)
-        if len(r) != d - 1:
-            raise ValueError(f"TT rank tuple {r} must have length {d - 1}")
         rng = np.random.default_rng(rng)
         X = rng.standard_normal((dims[0], r[0]))
         for k in range(1, d - 1):
@@ -85,8 +84,7 @@ def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None 
         X = np.tensordot(X, rng.standard_normal((r[-1], dims[-1])), axes=(X.ndim - 1, 0))
         return X
     if fmt == "ht":
-        if tree is None:
-            tree = DimensionTree.balanced(d)
+        tree = default_tree(tree, d)
         ranks = normalize_ht_ranks(tree, rank, dims)
         rng = np.random.default_rng(rng)
 

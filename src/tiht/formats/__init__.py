@@ -1,31 +1,37 @@
 """Low-rank tensor formats (HOSVD, TT, HT): truncation operators and ranks.
 
-Each format exposes a ``*_truncate`` operator computing a quasi-best rank-r
-approximation via successive SVDs, a rank probe, and a decomposition record
-that reconstructs back to a dense tensor.
+A format is a family of matricizations: its rank is the tuple of ranks of
+the unfoldings that put single modes (HOSVD), mode prefixes (TT) or the
+nodes of a dimension tree (HT) in the rows.  :mod:`.family` holds those mode
+sets with the rank clamp and the rank probe all three share.  Each format
+exposes a ``*_truncate`` operator computing a quasi-best rank-r
+approximation by successive SVDs over its family, a rank probe, and a
+decomposition record that reconstructs back to a dense tensor.
 """
 
 from __future__ import annotations
 
-from .hosvd import (
+import numpy as np
+
+from .family import (
+    FORMATS,
     DegenerateTensorError,
-    HosvdDecomposition,
-    clamp_hosvd_ranks,
-    hosvd_decompose,
-    hosvd_rank,
-    hosvd_truncate,
-)
-from .ht import (
     DimensionTree,
-    HTDecomposition,
-    ht_rank,
-    ht_right_orthogonalize,
-    ht_truncate,
-    normalize_ht_ranks,
+    clamp_ranks,
+    default_tree,
+    mode_sets,
+    probe_ranks,
 )
-from .tt import TTDecomposition, clamp_tt_ranks, tt_rank, tt_truncate
+from .hosvd import HosvdDecomposition, hosvd_decompose, hosvd_rank, hosvd_truncate
+from .ht import HTDecomposition, ht_rank, ht_right_orthogonalize, ht_truncate, normalize_ht_ranks
+from .tt import TTDecomposition, tt_rank, tt_truncate
 
 __all__ = [
+    "FORMATS",
+    "mode_sets",
+    "clamp_ranks",
+    "probe_ranks",
+    "default_tree",
     "DegenerateTensorError",
     "HosvdDecomposition",
     "TTDecomposition",
@@ -40,19 +46,8 @@ __all__ = [
     "ht_right_orthogonalize",
     "ht_rank",
     "normalize_ht_ranks",
-    "clamp_hosvd_ranks",
-    "clamp_tt_ranks",
-    "reconstruct",
     "truncate",
-    "rank_of",
 ]
-
-FORMATS = ("hosvd", "tt", "ht")
-
-
-def reconstruct(decomposition):
-    """Dense tensor represented by any of the three decomposition records."""
-    return decomposition.reconstruct()
 
 
 def truncate(X, fmt: str, ranks, tree: DimensionTree | None = None):
@@ -62,24 +57,5 @@ def truncate(X, fmt: str, ranks, tree: DimensionTree | None = None):
     if fmt == "tt":
         return tt_truncate(X, ranks)
     if fmt == "ht":
-        import numpy as np
-
-        if tree is None:
-            tree = DimensionTree.balanced(np.ndim(X))
-        return ht_truncate(X, tree, ranks)
-    raise ValueError(f"unknown tensor format {fmt!r}")
-
-
-def rank_of(X, fmt: str, tree: DimensionTree | None = None):
-    """Format rank of a dense tensor: per-mode, per-split, or per-tree-node."""
-    if fmt == "hosvd":
-        return hosvd_rank(X)
-    if fmt == "tt":
-        return tt_rank(X)
-    if fmt == "ht":
-        import numpy as np
-
-        if tree is None:
-            tree = DimensionTree.balanced(np.ndim(X))
-        return ht_rank(X, tree)
+        return ht_truncate(X, default_tree(tree, np.ndim(X)), ranks)
     raise ValueError(f"unknown tensor format {fmt!r}")

@@ -8,19 +8,15 @@ values, hence are nonincreasing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import numerical_rank, signed_svd, top_left_vectors
-from ..tensors import as_tensor, check_shape, matricize, mode_product
+from .._linalg import top_left_vectors
+from ..tensors import as_tensor, matricize, mode_product
+from .family import DegenerateTensorError, clamp_ranks, mode_sets, probe_ranks
 
 __all__ = ["HosvdDecomposition", "hosvd_decompose", "hosvd_truncate", "hosvd_rank"]
-
-
-class DegenerateTensorError(ValueError):
-    """Raised when an operation needs a nonzero tensor and got the zero tensor."""
 
 
 @dataclass(frozen=True)
@@ -29,10 +25,6 @@ class HosvdDecomposition:
 
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(U.shape[0] for U in self.factors)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -45,13 +37,6 @@ class HosvdDecomposition:
         return X
 
 
-def _project_core(X: np.ndarray, factors) -> np.ndarray:
-    core = X
-    for k, U in enumerate(factors):
-        core = mode_product(core, U.conj().T, k)
-    return core
-
-
 def hosvd_decompose(X) -> HosvdDecomposition:
     """Full HOSVD at the numerical ranks of all unfoldings.
 
@@ -61,26 +46,7 @@ def hosvd_decompose(X) -> HosvdDecomposition:
     X = as_tensor(X)
     if not np.any(X):
         raise DegenerateTensorError("HOSVD of the zero tensor is undefined")
-    factors = []
-    for k in range(X.ndim):
-        M = matricize(X, (k,))
-        U, s, _ = signed_svd(M)
-        r = max(numerical_rank(s, M.shape), 1)
-        factors.append(U[:, :r])
-    core = _project_core(X, factors)
-    return HosvdDecomposition(core=core, factors=tuple(factors))
-
-
-def clamp_hosvd_ranks(ranks, shape) -> tuple[int, ...]:
-    """Clamp requested ranks to each unfolding's row and column dimensions."""
-    dims = check_shape(shape)
-    r = tuple(int(v) for v in ranks)
-    if len(r) != len(dims):
-        raise ValueError(f"rank tuple {r} does not match order {len(dims)}")
-    if any(v < 1 for v in r):
-        raise ValueError(f"ranks must be >= 1, got {r}")
-    N = math.prod(dims)
-    return tuple(min(v, n, N // n) for v, n in zip(r, dims))
+    return hosvd_truncate(X, hosvd_rank(X))
 
 
 def hosvd_truncate(X, ranks) -> HosvdDecomposition:
@@ -90,22 +56,14 @@ def hosvd_truncate(X, ranks) -> HosvdDecomposition:
     approximation error.
     """
     X = as_tensor(X)
-    r = clamp_hosvd_ranks(ranks, X.shape)
-    factors = tuple(
-        top_left_vectors(matricize(X, (k,)), r[k]) for k in range(X.ndim)
-    )
-    core = _project_core(X, factors)
+    sets, r = clamp_ranks("hosvd", ranks, X.shape)
+    factors = tuple(top_left_vectors(matricize(X, S), v) for S, v in zip(sets, r))
+    core = X
+    for k, U in enumerate(factors):
+        core = mode_product(core, U.conj().T, k)
     return HosvdDecomposition(core=core, factors=factors)
 
 
 def hosvd_rank(X) -> tuple[int, ...]:
     """Numerical ranks of all mode-k unfoldings."""
-    X = as_tensor(X)
-    if not np.any(X):
-        raise DegenerateTensorError("rank of the zero tensor is undefined")
-    ranks = []
-    for k in range(X.ndim):
-        M = matricize(X, (k,))
-        s = np.linalg.svd(M, compute_uv=False)
-        ranks.append(max(numerical_rank(s, M.shape), 1))
-    return tuple(ranks)
+    return probe_ranks(X, mode_sets("hosvd", np.ndim(X)))

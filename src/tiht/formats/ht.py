@@ -1,151 +1,28 @@
-"""Hierarchical Tucker format: dimension trees, leaves-to-root truncation,
+"""Hierarchical Tucker format: leaves-to-root truncation over a dimension tree,
 right-orthogonalization, reconstruction.
 
-A dimension tree is a binary tree over the mode set whose interior nodes
-split into two sons, every mode in the left son preceding every mode in the
-right one.  Under that ordering every node is a contiguous interval of
-modes, which is how nodes are represented here: half-open 0-based pairs
-``(lo, hi)``.
+Tree nodes are the half-open mode intervals ``(lo, hi)`` of
+:class:`~tiht.formats.family.DimensionTree`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import numerical_rank, top_left_vectors
-from ..tensors import as_tensor, check_shape, matricize, mode_product, tensorize, unvec
+from .._linalg import top_left_vectors
+from ..tensors import as_tensor, matricize, mode_product, tensorize, unvec
+from .family import DimensionTree, Node, clamp_ranks, mode_sets, node_of, probe_ranks
+from .hosvd import hosvd_truncate
 
 __all__ = [
-    "DimensionTree",
     "HTDecomposition",
     "ht_truncate",
     "ht_right_orthogonalize",
     "ht_rank",
     "normalize_ht_ranks",
 ]
-
-Node = tuple[int, int]
-
-
-class DimensionTree:
-    """Binary tree over modes 0..d-1; nodes are contiguous intervals (lo, hi)."""
-
-    def __init__(self, nested):
-        root, children = _parse_nested(nested)
-        if root[0] != 0:
-            raise ValueError("tree must cover modes starting at 0")
-        self.order: int = root[1]
-        self.root: Node = root
-        self._children: dict[Node, tuple[Node, Node]] = children
-        self._parent: dict[Node, Node] = {}
-        self._level: dict[Node, int] = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node in self._children:
-                for son in self._children[node]:
-                    self._parent[son] = node
-                    self._level[son] = self._level[node] + 1
-                    stack.append(son)
-
-    @classmethod
-    def balanced(cls, order: int) -> "DimensionTree":
-        """Default tree: split the mode interval in half recursively (left-heavy)."""
-        if order < 2:
-            raise ValueError("a dimension tree needs order >= 2")
-
-        def split(lo, hi):
-            if hi - lo == 1:
-                return lo
-            mid = lo + (hi - lo + 1) // 2
-            return (split(lo, mid), split(mid, hi))
-
-        return cls(split(0, order))
-
-    @classmethod
-    def degenerate(cls, order: int) -> "DimensionTree":
-        """The caterpillar (TT-style) tree {1}, {2,...,d}, {2}, {3,...,d}, ..."""
-        if order < 2:
-            raise ValueError("a dimension tree needs order >= 2")
-
-        def chain(lo):
-            if lo == order - 2:
-                return (lo, lo + 1)
-            return (lo, chain(lo + 1))
-
-        return cls(chain(0))
-
-    def to_nested(self):
-        """Nested (left, right) tuples with leaves as mode integers."""
-
-        def walk(node):
-            if self.is_leaf(node):
-                return node[0]
-            a, b = self._children[node]
-            return (walk(a), walk(b))
-
-        return walk(self.root)
-
-    def is_leaf(self, node: Node) -> bool:
-        return node[1] - node[0] == 1
-
-    def children(self, node: Node) -> tuple[Node, Node]:
-        return self._children[node]
-
-    def parent(self, node: Node) -> Node:
-        return self._parent[node]
-
-    def modes(self, node: Node) -> tuple[int, ...]:
-        return tuple(range(node[0], node[1]))
-
-    def leaves(self) -> list[Node]:
-        return [(i, i + 1) for i in range(self.order)]
-
-    def interior(self) -> list[Node]:
-        return sorted(self._children, key=lambda n: (self._level[n], n))
-
-    def interior_bottom_up(self, include_root: bool = False) -> list[Node]:
-        """Interior nodes ordered deepest level first; root last when included."""
-        nodes = sorted(
-            self._children, key=lambda n: (-self._level[n], n)
-        )
-        if not include_root:
-            nodes = [n for n in nodes if n != self.root]
-        return nodes
-
-    def nodes(self) -> list[Node]:
-        return sorted(self._level, key=lambda n: (self._level[n], n))
-
-    def level(self, node: Node) -> int:
-        return self._level[node]
-
-    def __eq__(self, other):
-        return isinstance(other, DimensionTree) and self.to_nested() == other.to_nested()
-
-    def __repr__(self):
-        return f"DimensionTree({self.to_nested()!r})"
-
-
-def _parse_nested(nested):
-    if isinstance(nested, int):
-        if nested < 0:
-            raise ValueError("mode indices must be nonnegative")
-        return (nested, nested + 1), {}
-    try:
-        left, right = nested
-    except (TypeError, ValueError):
-        raise ValueError(f"malformed tree node {nested!r}: expected int or pair")
-    lspan, lch = _parse_nested(left)
-    rspan, rch = _parse_nested(right)
-    if lspan[1] != rspan[0]:
-        raise ValueError(
-            f"sons {lspan} and {rspan} must partition a contiguous interval, left first"
-        )
-    children = {**lch, **rch, (lspan[0], rspan[1]): (lspan, rspan)}
-    return (lspan[0], rspan[1]), children
 
 
 @dataclass(frozen=True)
@@ -165,9 +42,6 @@ class HTDecomposition:
         if self.tree.is_leaf(node):
             return self.frames[node[0]].shape[1]
         return self.transfers[node].shape[0]
-
-    def ranks(self) -> dict[Node, int]:
-        return {node: self.rank(node) for node in self.tree.nodes()}
 
     def _node_frame(self, node: Node) -> np.ndarray:
         if self.tree.is_leaf(node):
@@ -189,26 +63,8 @@ def normalize_ht_ranks(tree: DimensionTree, ranks, shape) -> dict[Node, int]:
 
     Ranks are clamped to the matricization dimensions; the root is always 1.
     """
-    dims = check_shape(shape)
-    if len(dims) != tree.order:
-        raise ValueError(f"tree of order {tree.order} does not match shape {dims}")
-    N = math.prod(dims)
-    out = {}
-    for node in tree.nodes():
-        if node == tree.root:
-            out[node] = 1
-            continue
-        if isinstance(ranks, dict):
-            if node not in ranks:
-                raise ValueError(f"no rank given for tree node {node}")
-            r = int(ranks[node])
-        else:
-            r = int(ranks)
-        if r < 1:
-            raise ValueError(f"ranks must be >= 1, got {r} at node {node}")
-        n_node = math.prod(dims[node[0] : node[1]])
-        out[node] = min(r, n_node, N // n_node)
-    return out
+    sets, r = clamp_ranks("ht", ranks, shape, tree)
+    return {tree.root: 1, **{node_of(S): v for S, v in zip(sets, r)}}
 
 
 def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
@@ -221,16 +77,11 @@ def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
     """
     X = as_tensor(X)
     dims = X.shape
-    if tree.order != X.ndim:
-        raise ValueError(f"tree of order {tree.order} does not match tensor order {X.ndim}")
     r = normalize_ht_ranks(tree, ranks, dims)
 
-    frames: dict[int, np.ndarray] = {}
-    C = X
-    for i in range(X.ndim):
-        U = top_left_vectors(matricize(X, (i,)), r[(i, i + 1)])
-        frames[i] = U
-        C = mode_product(C, U.conj().T, i)
+    leaves = hosvd_truncate(X, [r[leaf] for leaf in tree.leaves()])
+    frames = dict(enumerate(leaves.factors))
+    C = leaves.core
 
     active: list[Node] = [(i, i + 1) for i in range(X.ndim)]
     transfers: dict[Node, np.ndarray] = {}
@@ -277,19 +128,5 @@ def ht_right_orthogonalize(H: HTDecomposition) -> HTDecomposition:
 
 def ht_rank(X, tree: DimensionTree) -> dict[Node, int]:
     """Numerical rank of the node matricization, for every tree node."""
-    X = as_tensor(X)
-    if not np.any(X):
-        from .hosvd import DegenerateTensorError
-
-        raise DegenerateTensorError("rank of the zero tensor is undefined")
-    if tree.order != X.ndim:
-        raise ValueError(f"tree of order {tree.order} does not match tensor order {X.ndim}")
-    ranks = {}
-    for node in tree.nodes():
-        if node == tree.root:
-            ranks[node] = 1
-            continue
-        M = matricize(X, tree.modes(node))
-        s = np.linalg.svd(M, compute_uv=False)
-        ranks[node] = max(numerical_rank(s, M.shape), 1)
-    return ranks
+    sets = mode_sets("ht", np.ndim(X), tree)
+    return {tree.root: 1, **{node_of(S): v for S, v in zip(sets, probe_ranks(X, sets))}}

@@ -8,15 +8,15 @@ left-orthogonal (its {1,2}-flattening has orthonormal columns).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import numerical_rank, signed_svd
-from ..tensors import as_tensor, check_shape, matricize
+from .._linalg import signed_svd
+from ..tensors import as_tensor, matricize
+from .family import clamp_ranks, mode_sets, probe_ranks
 
-__all__ = ["TTDecomposition", "tt_truncate", "tt_rank", "clamp_tt_ranks"]
+__all__ = ["TTDecomposition", "tt_truncate", "tt_rank"]
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,6 @@ class TTDecomposition:
     """Chain of TT cores; ``cores[0]`` is a matrix, interior cores are 3-way."""
 
     cores: tuple[np.ndarray, ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        dims = [self.cores[0].shape[0]]
-        dims += [G.shape[1] for G in self.cores[1:-1]]
-        dims.append(self.cores[-1].shape[-1])
-        return tuple(dims)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -43,26 +36,6 @@ class TTDecomposition:
         return X
 
 
-def clamp_tt_ranks(ranks, shape) -> tuple[int, ...]:
-    """Clamp r_i to min(prod of the first i extents, prod of the rest)."""
-    dims = check_shape(shape)
-    d = len(dims)
-    if d < 2:
-        raise ValueError("TT format needs order >= 2")
-    r = tuple(int(v) for v in ranks)
-    if len(r) != d - 1:
-        raise ValueError(f"TT rank tuple {r} must have length {d - 1}")
-    if any(v < 1 for v in r):
-        raise ValueError(f"ranks must be >= 1, got {r}")
-    N = math.prod(dims)
-    out = []
-    left = 1
-    for i in range(d - 1):
-        left *= dims[i]
-        out.append(min(r[i], left, N // left))
-    return tuple(out)
-
-
 def tt_truncate(X, ranks) -> TTDecomposition:
     """TT-SVD: successive truncated SVDs of the {1,2}-flattened remainders.
 
@@ -71,7 +44,7 @@ def tt_truncate(X, ranks) -> TTDecomposition:
     X = as_tensor(X)
     dims = X.shape
     d = X.ndim
-    r = clamp_tt_ranks(ranks, dims)
+    _, r = clamp_ranks("tt", ranks, dims)
 
     cores = []
     M = matricize(X, (0,))  # n_1 x (n_2 ... n_d)
@@ -94,17 +67,4 @@ def tt_truncate(X, ranks) -> TTDecomposition:
 
 def tt_rank(X) -> tuple[int, ...]:
     """Numerical ranks of the matricizations that split after mode i, i = 1..d-1."""
-    X = as_tensor(X)
-    if not np.any(X):
-        from .hosvd import DegenerateTensorError
-
-        raise DegenerateTensorError("rank of the zero tensor is undefined")
-    d = X.ndim
-    if d < 2:
-        raise ValueError("TT format needs order >= 2")
-    ranks = []
-    for i in range(1, d):
-        M = matricize(X, tuple(range(i)))
-        s = np.linalg.svd(M, compute_uv=False)
-        ranks.append(max(numerical_rank(s, M.shape), 1))
-    return tuple(ranks)
+    return probe_ranks(X, mode_sets("tt", np.ndim(X)))

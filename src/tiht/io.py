@@ -48,8 +48,18 @@ def _read(path):
     return header, payload
 
 
+def _entry(header: dict, key: str):
+    """A header field; a malformed header raises ValueError naming the field."""
+    if key not in header:
+        raise ValueError(f"malformed header: no {key!r} field")
+    return header[key]
+
+
 def _split_blocks(header: dict, payload: bytes, shapes):
-    dtype = np.dtype(_DTYPES[header["field"]])
+    field = _entry(header, "field")
+    if field not in _DTYPES:
+        raise ValueError(f"malformed header: 'field' is {field!r}, expected one of {sorted(_DTYPES)}")
+    dtype = np.dtype(_DTYPES[field])
     flat = np.frombuffer(payload, dtype=dtype)
     expected = sum(math.prod(s) for s in shapes)
     if flat.size != expected:
@@ -79,7 +89,7 @@ def load_tensor(path) -> np.ndarray:
     header, payload = _read(path)
     if header.get("kind") != "tensor":
         raise ValueError(f"{path} does not hold a tensor (kind={header.get('kind')!r})")
-    (X,) = _split_blocks(header, payload, [tuple(header["dims"])])
+    (X,) = _split_blocks(header, payload, [tuple(_entry(header, "dims"))])
     return X
 
 
@@ -108,7 +118,7 @@ def save_decomposition(path, dec) -> None:
             "kind": "ht",
             "field": field_of(blocks[0]),
             "shape": list(dec.shape),
-            "tree": _nested_to_json(dec.tree.to_nested()),
+            "tree": dec.tree.to_nested(),
             "transfer_dims": [list(dec.transfers[t].shape) for t in interior],
             "frame_dims": [list(dec.frames[i].shape) for i in range(dec.tree.order)],
         }
@@ -121,33 +131,23 @@ def load_decomposition(path):
     header, payload = _read(path)
     kind = header.get("kind")
     if kind == "hosvd":
-        shapes = [tuple(header["core_dims"])] + [tuple(s) for s in header["factor_dims"]]
+        shapes = [tuple(_entry(header, "core_dims"))]
+        shapes += [tuple(s) for s in _entry(header, "factor_dims")]
         blocks = _split_blocks(header, payload, shapes)
         return HosvdDecomposition(core=blocks[0], factors=tuple(blocks[1:]))
     if kind == "tt":
-        shapes = [tuple(s) for s in header["core_dims"]]
+        shapes = [tuple(s) for s in _entry(header, "core_dims")]
         return TTDecomposition(cores=tuple(_split_blocks(header, payload, shapes)))
     if kind == "ht":
-        tree = DimensionTree(_nested_from_json(header["tree"]))
+        tree = DimensionTree(_entry(header, "tree"))
         interior = tree.interior()
-        shapes = [tuple(s) for s in header["transfer_dims"]]
-        shapes += [tuple(s) for s in header["frame_dims"]]
+        shapes = [tuple(s) for s in _entry(header, "transfer_dims")]
+        shapes += [tuple(s) for s in _entry(header, "frame_dims")]
         blocks = _split_blocks(header, payload, shapes)
         transfers = dict(zip(interior, blocks[: len(interior)]))
         frames = dict(enumerate(blocks[len(interior) :]))
         return HTDecomposition(
-            tree=tree, transfers=transfers, frames=frames, shape=tuple(header["shape"])
+            tree=tree, transfers=transfers, frames=frames, shape=tuple(_entry(header, "shape"))
         )
     raise ValueError(f"{path} does not hold a decomposition (kind={kind!r})")
 
-
-def _nested_to_json(nested):
-    if isinstance(nested, int):
-        return nested
-    return [_nested_to_json(nested[0]), _nested_to_json(nested[1])]
-
-
-def _nested_from_json(obj):
-    if isinstance(obj, int):
-        return obj
-    return (_nested_from_json(obj[0]), _nested_from_json(obj[1]))

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import (
-    DimensionTree,
-    clamp_hosvd_ranks,
-    clamp_tt_ranks,
-    normalize_ht_ranks,
-    truncate,
-)
+from .formats import FORMATS, DimensionTree, clamp_ranks, truncate
 from .measurements import MeasurementEnsemble
 from ._linalg import top_left_vectors
 from .tensors import frobenius_norm, matricize, tensorize, vec
@@ -56,12 +50,11 @@ class SolverConfig:
     conv_tol: float = 1e-4
     initial: np.ndarray | None = None
     keep_iterates: bool = False
-    safeguard: bool = True  # NTIHT step-size stabilizer; CTIHT ignores it
 
     def __post_init__(self):
         if self.variant not in ("ctiht", "ntiht"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.format not in ("hosvd", "tt", "ht"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -144,30 +137,9 @@ def build_Mj(fmt: str, X_j: np.ndarray, rank, tree: DimensionTree | None = None)
     the basis is padded with the orthonormal complement the SVD returns.
     """
     X_j = np.asarray(X_j)
-    d = X_j.ndim
-    shape = X_j.shape
-    blocks = []
-    if fmt == "hosvd":
-        r = clamp_hosvd_ranks(rank, shape)
-        for k in range(d):
-            blocks.append(((k,), top_left_vectors(matricize(X_j, (k,)), r[k])))
-    elif fmt == "tt":
-        r = clamp_tt_ranks(rank, shape)
-        for i in range(1, d):
-            modes = tuple(range(i))
-            blocks.append((modes, top_left_vectors(matricize(X_j, modes), r[i - 1])))
-    elif fmt == "ht":
-        if tree is None:
-            tree = DimensionTree.balanced(d)
-        r = normalize_ht_ranks(tree, rank, shape)
-        nodes = [n for n in tree.nodes() if n != tree.root]
-        nodes.sort(key=lambda n: (-tree.level(n), n))  # sons before fathers
-        for node in nodes:
-            modes = tree.modes(node)
-            blocks.append((modes, top_left_vectors(matricize(X_j, modes), r[node])))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return RankProjector(shape, blocks)
+    sets, r = clamp_ranks(fmt, rank, X_j.shape, tree)
+    blocks = [(S, top_left_vectors(matricize(X_j, S), v)) for S, v in zip(sets, r)]
+    return RankProjector(X_j.shape, blocks)
 
 
 def ctiht_step_size() -> float:
@@ -221,10 +193,6 @@ def tiht_run(
     else:
         X = np.zeros(A.shape, dtype=dtype)
 
-    tree = config.tree
-    if config.format == "ht" and tree is None:
-        tree = DimensionTree.balanced(len(A.shape))
-
     trace: list[IterateState] = []
     converged = False
     diverged = False
@@ -240,7 +208,7 @@ def tiht_run(
             g = A.adjoint(resid)
             fallback = False
             if config.variant == "ntiht":
-                projector = build_Mj(config.format, X, config.rank, tree)
+                projector = build_Mj(config.format, X, config.rank, config.tree)
                 mu, fallback = _mu_from_direction(A, projector(g))
             else:
                 mu = ctiht_step_size()
@@ -248,8 +216,8 @@ def tiht_run(
             if not np.all(np.isfinite(Y)):
                 diverged = True
                 break
-            X_next = truncate(Y, config.format, config.rank, tree).reconstruct()
-            if config.variant == "ntiht" and config.safeguard:
+            X_next = truncate(Y, config.format, config.rank, config.tree).reconstruct()
+            if config.variant == "ntiht":
                 # keep the normalized step when it does not increase the
                 # residual; otherwise back the step off geometrically until it
                 # does, with the stability bound mu <= ||dX||^2 / ||A(dX)||^2
@@ -257,19 +225,14 @@ def tiht_run(
                 cand_resid = float(np.linalg.norm(y - A.apply(X_next)))
                 if not cand_resid <= resid_norm:
                     for _ in range(60):
-                        dv = vec(X_next - X)
-                        step_sq = float(np.vdot(dv, dv).real)
-                        if step_sq == 0.0:
-                            break
-                        Ad = A.apply(X_next - X)
-                        omega = step_sq / float(np.vdot(Ad, Ad).real)
-                        if not np.isfinite(omega) or mu <= omega:
+                        omega, no_bound = _mu_from_direction(A, X_next - X)
+                        if no_bound or not np.isfinite(omega) or mu <= omega:
                             break
                         mu = mu / 1.3
                         if mu <= omega:
                             mu = 0.99 * omega
                         Y = X + mu * g
-                        X_next = truncate(Y, config.format, config.rank, tree).reconstruct()
+                        X_next = truncate(Y, config.format, config.rank, config.tree).reconstruct()
                         cand_resid = float(np.linalg.norm(y - A.apply(X_next)))
                         if cand_resid <= resid_norm:
                             break
@@ -304,13 +267,14 @@ def tiht_run(
                 converged = True
                 break
 
-    final_error = None
-    success = None
-    if X_ref is not None:
-        diff_norm = frobenius_norm(X - X_ref)
-        final_error = diff_norm if np.isfinite(diff_norm) else float("inf")
-        if success_threshold is not None:
-            success = bool(final_error < success_threshold)
+        final_error = None
+        success = None
+        if X_ref is not None:
+            diff_norm = frobenius_norm(X - X_ref)
+            final_error = diff_norm if np.isfinite(diff_norm) else float("inf")
+            if success_threshold is not None:
+                success = bool(final_error < success_threshold)
+
     return RecoveryResult(
         tensor=X,
         iterations=len(trace),

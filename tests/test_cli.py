@@ -122,3 +122,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert b"sample_complexity" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--shape", "4x4", "--rank", "1,1"],  # neither --nbar nor --m
+        ["--format", "tt", "--rank", "1,1,1", "--nbar", "50"],  # TT rank of length d
+        ["--format", "tt", "--rank", "1,1,1,1", "--nbar", "50"],
+        ["--format", "ht", "--rank", "1,2", "--nbar", "50"],  # non-uniform HT rank
+    ],
+    ids=["no-size", "tt-length-d", "tt-length-4", "ht-non-uniform"],
+)
+def test_recover_argument_errors_exit_with_status_2(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--shape", "4x4x4", *extra])
+    assert exc.value.code == 2
+    assert "tiht recover:" in capsys.readouterr().err

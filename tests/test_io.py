@@ -117,3 +117,29 @@ def test_kind_mismatch_errors(tmp_path):
         load_tensor(dpath)
     with pytest.raises(TypeError):
         save_decomposition(tmp_path / "bad.dec", np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "kind, edit, field",
+    [
+        ("tensor", lambda h: h.pop("dims"), "dims"),
+        ("tensor", lambda h: h.pop("field"), "field"),
+        ("tensor", lambda h: h.update(field="quaternion"), "field"),
+        ("tt", lambda h: h.pop("core_dims"), "core_dims"),
+    ],
+    ids=["no-dims", "no-field", "quaternion", "tt-no-core-dims"],
+)
+def test_malformed_header_raises_value_error_naming_the_field(tmp_path, kind, edit, field):
+    path = tmp_path / "x.bin"
+    if kind == "tensor":
+        save_tensor(path, np.ones((2, 3)))
+        load = load_tensor
+    else:
+        save_decomposition(path, tt_truncate(np.ones((2, 3, 4)), (1, 1)))
+        load = load_decomposition
+    head, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    with pytest.raises(ValueError, match=field):
+        load(path)
