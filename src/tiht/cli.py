@@ -128,6 +128,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _cmd_recover(args) -> int:
     if (args.nbar is None) == (args.m is None):
         raise ValueError("recover needs exactly one of --nbar / --m")
+    threshold = experiments.success_threshold(args.ensemble, args.threshold)
     shape = args.shape
     N = int(np.prod(shape))
     m = args.m if args.m is not None else -(-N * args.nbar // 100)
@@ -142,7 +143,6 @@ def _cmd_recover(args) -> int:
         max_iters=args.max_iters,
         conv_tol=args.conv_tol,
     )
-    threshold = args.threshold or experiments.DEFAULT_THRESHOLDS[args.ensemble]
     result = solvers.tiht_run(A, y, config, X_ref=X0, success_threshold=threshold)
     if args.trace_out:
         solvers.export_trace_csv(result, args.trace_out)
@@ -156,6 +156,7 @@ def _cmd_recover(args) -> int:
             "m": m,
             "iterations": result.iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "final_error": result.final_error,
             "success": result.success,
             "final_residual": float(result.residuals[-1]),

@@ -29,6 +29,7 @@ __all__ = [
     "PhaseDiagram",
     "generate_test_tensor",
     "random_rank_r_tensor",
+    "success_threshold",
     "measurements_for",
     "run_single_trial",
     "run_phase_diagram",
@@ -37,6 +38,15 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLDS = {"gaussian": 1e-3, "fourier": 1e-3, "completion": 2.5e-3}
+
+
+def success_threshold(ensemble: str, threshold: float | None = None) -> float:
+    """``threshold``, or the ensemble's default when it is None; it must be positive."""
+    if threshold is None:
+        return DEFAULT_THRESHOLDS[ensemble]
+    if not threshold > 0:
+        raise ValueError(f"success threshold must be positive, got {threshold}")
+    return threshold
 
 
 def generate_test_tensor(shape, rank, seed) -> np.ndarray:
@@ -129,8 +139,7 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.ensemble not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.threshold is None:
-            object.__setattr__(self, "threshold", DEFAULT_THRESHOLDS[self.ensemble])
+        object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
 
     @property
     def size(self) -> int:

@@ -36,6 +36,10 @@ class HosvdDecomposition:
             X = mode_product(X, U, k)
         return X
 
+    def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """``((k,), U_k)`` for every mode: the factors span the mode-k unfoldings' column spaces."""
+        return [((k,), U) for k, U in enumerate(self.factors)]
+
 
 def hosvd_decompose(X) -> HosvdDecomposition:
     """Full HOSVD at the numerical ranks of all unfoldings.

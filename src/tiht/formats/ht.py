@@ -43,19 +43,32 @@ class HTDecomposition:
             return self.frames[node[0]].shape[1]
         return self.transfers[node].shape[0]
 
-    def _node_frame(self, node: Node) -> np.ndarray:
-        if self.tree.is_leaf(node):
-            return self.frames[node[0]]
-        s1, s2 = self.tree.children(node)
-        U1 = self._node_frame(s1)
-        U2 = self._node_frame(s2)
-        B = self.transfers[node]
-        Bmat = matricize(B, (1, 2))  # (r1 * r2, r_t), left-son index fastest
-        return np.kron(U2, U1) @ Bmat
+    def _node_frame(self, node: Node, known: dict[Node, np.ndarray]) -> np.ndarray:
+        """``kron(U_t2, U_t1) @ matricize(B_t, (1, 2))``; frames are computed once into ``known``."""
+        if node not in known:
+            if self.tree.is_leaf(node):
+                known[node] = self.frames[node[0]]
+            else:
+                s1, s2 = self.tree.children(node)
+                U1 = self._node_frame(s1, known)
+                U2 = self._node_frame(s2, known)
+                Bmat = matricize(self.transfers[node], (1, 2))  # (r1 * r2, r_t), left-son index fastest
+                known[node] = np.kron(U2, U1) @ Bmat
+        return known[node]
 
     def reconstruct(self) -> np.ndarray:
-        v = self._node_frame(self.tree.root)
+        v = self._node_frame(self.tree.root, {})
         return unvec(v[:, 0], self.shape)
+
+    def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """``(modes of t, U_t)`` for every non-root node t, in ``mode_sets`` order.
+
+        The node frames have orthonormal columns whenever the leaf frames and
+        the transfer tensors' {2,3}-flattenings do, as after :func:`ht_truncate`.
+        """
+        known: dict[Node, np.ndarray] = {}
+        sets = mode_sets("ht", len(self.shape), self.tree)
+        return [(S, self._node_frame(node_of(S), known)) for S in sets]
 
 
 def normalize_ht_ranks(tree: DimensionTree, ranks, shape) -> dict[Node, int]:

@@ -35,6 +35,22 @@ class TTDecomposition:
             X = np.tensordot(X, G, axes=(X.ndim - 1, 0))
         return X
 
+    def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """``((0, ..., i-1), F_i)`` for every prefix: the left-orthogonal prefix frames.
+
+        ``F_1 = G_1`` and ``F_i`` contracts ``F_{i-1}`` with ``G_i``.  With
+        left-orthogonal cores, as after :func:`tt_truncate`, the columns of
+        ``F_i`` are orthonormal and span the column space of the prefix
+        unfolding of the reconstruction whenever its rank is r_i.
+        """
+        F = self.cores[0]
+        out = [((0,), F)]
+        for i, G in enumerate(self.cores[1:-1], start=2):
+            r_prev, n, r = G.shape
+            F = (F @ G.reshape(r_prev, n * r, order="F")).reshape(-1, r, order="F")
+            out.append((tuple(range(i)), F))
+        return out
+
 
 def tt_truncate(X, ranks) -> TTDecomposition:
     """TT-SVD: successive truncated SVDs of the {1,2}-flattened remainders.

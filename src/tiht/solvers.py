@@ -10,6 +10,13 @@ below the stability bound mu <= ||dX||_F^2 / ||A(dX)||_2^2 of the
 changed-subspace test.  Stopping follows the experimental protocol: a
 Frobenius step below ``conv_tol`` (converged) or ``max_iters`` iterations;
 iterates leaving the representable range end the run as diverged.
+
+NTIHT iterates stay factored: from the second iteration on, X^j is the
+truncation H_r(Y^{j-1}), whose decomposition already holds orthonormal bases
+of the matricization column spaces that M^j projects onto, so M^j is built
+from those frames (``blocks()``) without an SVD.  Only X^0, which no
+truncation produced, goes through :func:`build_Mj`.  The A(X^{j+1}) of the
+safeguard's residual test is reused as the next iteration's A(X^j).
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ class IterateState:
     eps_ratio: float | None = None
     mu_fallback: bool = False
     X: np.ndarray | None = None
+    retries: int = 0  # safeguard backoffs taken in this iteration (NTIHT only)
 
 
 @dataclass
@@ -86,6 +94,13 @@ class RecoveryResult:
     final_error: float | None = None
     success: bool | None = None
     diverged: bool = False  # iterates left the representable range
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the run ended: "converged", "diverged" or "max_iters"."""
+        if self.converged:
+            return "converged"
+        return "diverged" if self.diverged else "max_iters"
 
     @property
     def residuals(self) -> np.ndarray:
@@ -135,6 +150,9 @@ def build_Mj(fmt: str, X_j: np.ndarray, rank, tree: DimensionTree | None = None)
     matricizations (per mode for HOSVD, leading splits for TT, tree nodes for
     HT).  When an unfolding has fewer nonzero singular values than requested
     the basis is padded with the orthonormal complement the SVD returns.
+    :func:`tiht_run` calls it only for the initial iterate; from the second
+    iteration on it takes the same subspaces from the frames of the
+    truncation that produced the iterate, ``RankProjector(shape, D.blocks())``.
     """
     X_j = np.asarray(X_j)
     sets, r = clamp_ranks(fmt, rank, X_j.shape, tree)
@@ -196,19 +214,25 @@ def tiht_run(
     trace: list[IterateState] = []
     converged = False
     diverged = False
+    AX = None  # A(X) when the safeguard has already measured X
+    D = None  # decomposition of the truncation that produced X
     # overflow along a diverging trajectory is detected and recorded below, so
     # the intermediate inf/nan arithmetic is expected and not worth warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(config.max_iters):
-            resid = y - A.apply(X)
+            resid = y - (A.apply(X) if AX is None else AX)
             resid_norm = float(np.linalg.norm(resid))
             if not np.isfinite(resid_norm):
                 diverged = True  # recorded outcome, not an error
                 break
             g = A.adjoint(resid)
             fallback = False
+            retries = 0
             if config.variant == "ntiht":
-                projector = build_Mj(config.format, X, config.rank, config.tree)
+                if D is None:
+                    projector = build_Mj(config.format, X, config.rank, config.tree)
+                else:
+                    projector = RankProjector(X.shape, D.blocks())
                 mu, fallback = _mu_from_direction(A, projector(g))
             else:
                 mu = ctiht_step_size()
@@ -216,26 +240,28 @@ def tiht_run(
             if not np.all(np.isfinite(Y)):
                 diverged = True
                 break
-            X_next = truncate(Y, config.format, config.rank, config.tree).reconstruct()
+            D = truncate(Y, config.format, config.rank, config.tree)
+            X_next = D.reconstruct()
             if config.variant == "ntiht":
                 # keep the normalized step when it does not increase the
                 # residual; otherwise back the step off geometrically until it
                 # does, with the stability bound mu <= ||dX||^2 / ||A(dX)||^2
                 # of the changed-subspace test as the floor
-                cand_resid = float(np.linalg.norm(y - A.apply(X_next)))
-                if not cand_resid <= resid_norm:
-                    for _ in range(60):
-                        omega, no_bound = _mu_from_direction(A, X_next - X)
-                        if no_bound or not np.isfinite(omega) or mu <= omega:
-                            break
-                        mu = mu / 1.3
-                        if mu <= omega:
-                            mu = 0.99 * omega
-                        Y = X + mu * g
-                        X_next = truncate(Y, config.format, config.rank, config.tree).reconstruct()
-                        cand_resid = float(np.linalg.norm(y - A.apply(X_next)))
-                        if cand_resid <= resid_norm:
-                            break
+                AX = A.apply(X_next)
+                cand_resid = float(np.linalg.norm(y - AX))
+                while not cand_resid <= resid_norm and retries < 60:
+                    omega, no_bound = _mu_from_direction(A, X_next - X)
+                    if no_bound or not np.isfinite(omega) or mu <= omega:
+                        break
+                    mu = mu / 1.3
+                    if mu <= omega:
+                        mu = 0.99 * omega
+                    Y = X + mu * g
+                    D = truncate(Y, config.format, config.rank, config.tree)
+                    X_next = D.reconstruct()
+                    AX = A.apply(X_next)
+                    cand_resid = float(np.linalg.norm(y - AX))
+                    retries += 1
             step_norm = frobenius_norm(X_next - X)
             eps_ratio = None
             if X_ref is not None:
@@ -260,6 +286,7 @@ def tiht_run(
                     eps_ratio=eps_ratio,
                     mu_fallback=fallback,
                     X=X.copy() if config.keep_iterates else None,
+                    retries=retries,
                 )
             )
             X = X_next

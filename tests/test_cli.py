@@ -45,6 +45,7 @@ def test_recover_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["m"] == 87  # ceil(216 * 40 / 100)
     assert payload["success"] is True
+    assert payload["stop_reason"] == "converged"
     header = trace.read_text().splitlines()[0]
     assert header == "iteration,residual,step_norm,mu,eps_ratio"
 
@@ -139,3 +140,17 @@ def test_recover_argument_errors_exit_with_status_2(extra, capsys):
         main(["recover", "--shape", "4x4x4", *extra])
     assert exc.value.code == 2
     assert "tiht recover:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, threshold",
+    [("recover", "0"), ("recover", "-1e-3"), ("phase", "0"), ("phase", "-1e-3")],
+)
+def test_nonpositive_threshold_exits_with_status_2(command, threshold, capsys):
+    # both commands take an explicit threshold as given, so 0 is rejected
+    # rather than replaced by the ensemble's default
+    size = ["--nbar", "20"] if command == "recover" else ["--grid", "20", "--trials", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--shape", "4x4x4", *size, f"--threshold={threshold}"])
+    assert exc.value.code == 2
+    assert "threshold" in capsys.readouterr().err

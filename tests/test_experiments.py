@@ -70,6 +70,13 @@ def test_spec_measurement_count_and_validation():
         _small_spec(ensemble="bernoulli")
 
 
+def test_spec_threshold_is_kept_as_given_and_must_be_positive():
+    assert _small_spec(threshold=1e-6).threshold == 1e-6
+    for bad in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            _small_spec(threshold=bad)
+
+
 def test_phase_diagram_deterministic_across_worker_counts():
     spec = _small_spec()
     serial = run_phase_diagram(spec, workers=1)

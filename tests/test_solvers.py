@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import tiht.solvers
 from tiht.experiments import generate_test_tensor, random_rank_r_tensor
-from tiht.formats import DimensionTree, hosvd_rank
+from tiht.formats import DimensionTree, hosvd_rank, mode_sets, truncate
 from tiht.measurements import GaussianEnsemble, draw
 from tiht.solvers import (
+    RankProjector,
     SolverConfig,
     build_Mj,
     ctiht_step_size,
@@ -306,3 +308,100 @@ def test_trace_csv_export(tmp_path):
     assert int(first[0]) == 0
     assert float(first[1]) == res.trace[0].residual
     assert float(first[4]) == res.trace[0].eps_ratio
+
+
+def test_stop_reason_names_each_ending():
+    A = _identity_ensemble()
+    X0 = generate_test_tensor((4, 4, 4), (2, 2, 2), seed=0)
+    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(2, 2, 2), variant="ctiht"))
+    assert res.stop_reason == "converged"
+
+    A = GaussianEnsemble.from_matrix(2.0 * np.eye(27), (3, 3, 3))
+    X0 = generate_test_tensor((3, 3, 3), (1, 1, 1), seed=27)
+    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht"))
+    assert res.stop_reason == "diverged"
+
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=14)
+    A = draw("gaussian", SHAPE, 80, seed=15)
+    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), max_iters=2))
+    assert res.iterations == 2 and res.stop_reason == "max_iters"
+
+
+def test_retries_count_the_safeguard_truncations(monkeypatch):
+    calls = []
+
+    def counting_truncate(*args, **kwargs):
+        calls.append(1)
+        return truncate(*args, **kwargs)
+
+    monkeypatch.setattr(tiht.solvers, "truncate", counting_truncate)
+    # 3% measurements: far below the transition, so the safeguard backs off
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=30)
+    A = draw("gaussian", SHAPE, 30, seed=31)
+    res = tiht_run(
+        A, A.apply(X0), SolverConfig(rank=(1, 1, 1), max_iters=60),
+        X_ref=X0, success_threshold=1e-3,
+    )
+    assert not res.success
+    retries = sum(s.retries for s in res.trace)
+    assert retries > 0
+    assert retries == len(calls) - res.iterations
+
+    calls.clear()
+    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht", max_iters=20))
+    assert all(s.retries == 0 for s in res.trace) and len(calls) == res.iterations
+
+
+def _factored_cases():
+    for field in ("real", "complex"):
+        yield field, "hosvd", (5, 5, 5), (2, 3, 2), None
+        yield field, "hosvd", (4, 5, 3, 6), (2, 3, 2, 3), None
+        yield field, "tt", (5, 5, 5), (2, 3), None
+        yield field, "tt", (4, 5, 3, 6), (2, 3, 2), None
+        yield field, "ht", (5, 5, 5), 2, None
+        yield field, "ht", (4, 5, 3, 6), 2, DimensionTree.balanced(4)
+        yield field, "ht", (4, 5, 3, 6), 2, DimensionTree.degenerate(4)
+
+
+@pytest.mark.parametrize("field, fmt, shape, rank, tree", list(_factored_cases()))
+def test_factored_projector_matches_build_mj(field, fmt, shape, rank, tree):
+    rng = np.random.default_rng([40, len(shape), len(fmt)])
+
+    def draw_tensor():
+        Z = rng.standard_normal(shape)
+        return Z + 1j * rng.standard_normal(shape) if field == "complex" else Z
+
+    D = truncate(draw_tensor(), fmt, rank, tree)
+    X = D.reconstruct()
+    dense = build_Mj(fmt, X, rank, tree)
+    blocks = D.blocks()
+    assert [S for S, _ in blocks] == mode_sets(fmt, len(shape), tree)
+    assert [U.shape for _, U in blocks] == [U.shape for _, U in dense.blocks]
+    for _, U in blocks:
+        assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) <= 1e-12
+    Z = draw_tensor()
+    expected = dense(Z)
+    got = RankProjector(shape, blocks)(Z)
+    assert frobenius_norm(got - expected) <= 1e-12 * frobenius_norm(expected)
+
+
+class _CountingGaussian(GaussianEnsemble):
+    applies = 0
+
+    def apply(self, X):
+        self.applies += 1
+        return super().apply(X)
+
+
+def test_ntiht_reuses_the_safeguard_measurement_of_the_iterate():
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=14)
+    base = draw("gaussian", SHAPE, 200, seed=15)
+    y = base.apply(X0)
+    for variant in ("ntiht", "ctiht"):
+        A = _CountingGaussian.from_matrix(base.matrix, SHAPE)
+        res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1), variant=variant), X_ref=X0, success_threshold=1e-3)
+        assert res.success and not any(s.retries for s in res.trace)
+        # NTIHT: A(X^0), then per iteration the step-size denominator and the
+        # residual test, whose A(X^{j+1}) is the next iteration's A(X^j)
+        expected = 2 * res.iterations + 1 if variant == "ntiht" else res.iterations
+        assert A.applies == expected, variant
