@@ -59,8 +59,11 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=_parse_rank, default=(1, 1, 1), help="target rank tuple, e.g. 1,1,1")
     p.add_argument("--format", choices=FORMATS, default="hosvd")
     p.add_argument("--ensemble", choices=("gaussian", "fourier", "completion"), default="gaussian")
-    p.add_argument("--variant", choices=("ctiht", "ntiht"), default="ntiht")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_solver_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=("ctiht", "ntiht"), default="ntiht")
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--conv-tol", type=float, default=1e-4)
     p.add_argument("--threshold", type=float, default=None, help="success threshold on the final error")
@@ -81,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover one seeded random instance")
     _add_problem_args(p)
+    _add_solver_args(p)
     p.add_argument("--nbar", type=int, default=None, help="measurements as percent of N")
     p.add_argument("--m", type=int, default=None, help="absolute measurement count")
     p.add_argument("--trace-out", default=None, help="write the iteration trace as CSV")
@@ -88,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase", help="sweep a measurement-percentage grid")
     _add_problem_args(p)
+    _add_solver_args(p)
     p.add_argument("--grid", type=_parse_grid, default=None, help="e.g. 3,8,24 or 1:30 or 5:50:5")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--out", default=None, help="results file (.csv or .json)")
-    p.add_argument("--emit", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="results file: JSON when it ends in .json, else CSV")
 
     p = sub.add_parser("trip", help="estimate the restricted isometry constant")
     _add_problem_args(p)
@@ -189,7 +193,7 @@ def _cmd_phase(args) -> int:
         )
     print(f"nbar_full={diagram.nbar_full} nbar_zero={diagram.nbar_zero}")
     if args.out:
-        experiments.emit_results(diagram, args.out, fmt=args.emit)
+        experiments.emit_results(diagram, args.out)
     return 0
 
 

@@ -10,6 +10,8 @@ seed, so any single trial can be replayed in isolation.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import DimensionTree, clamp_ranks, default_tree, normalize_ht_ranks
+from .formats import (
+    DimensionTree,
+    HosvdDecomposition,
+    HTDecomposition,
+    TTDecomposition,
+    clamp_ranks,
+    default_tree,
+    normalize_ht_ranks,
+)
 from .measurements import draw
 from .solvers import SolverConfig, tiht_run
 from .tensors import check_shape
@@ -64,20 +74,19 @@ def generate_test_tensor(shape, rank, seed) -> np.ndarray:
         raise ValueError(f"ranks {r} must lie in [1, n_k] for shape {dims}")
     rng = np.random.default_rng(seed)
     core = rng.standard_normal(r)
-    X = core
-    for k, (n, rk) in enumerate(zip(dims, r)):
-        M = rng.standard_normal((n, n))
-        U, _, _ = np.linalg.svd(M)
-        U = fix_svd_signs(U[:, :rk])
-        X = np.moveaxis(np.tensordot(X, U, axes=([k], [1])), -1, k)
-    return X
+    factors = []
+    for n, rk in zip(dims, r):
+        U, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
+        factors.append(fix_svd_signs(U[:, :rk]))
+    return HosvdDecomposition(core, tuple(factors)).reconstruct()
 
 
 def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None = None) -> np.ndarray:
     """Random tensor of format rank at most ``rank`` (exact almost surely).
 
-    HOSVD uses :func:`generate_test_tensor`'s construction; TT and HT draw
-    Gaussian cores/transfer tensors and orthonormalized leaf frames.
+    HOSVD uses :func:`generate_test_tensor`'s construction; TT draws Gaussian
+    cores, HT Gaussian transfer tensors and orthonormalized leaf frames, and
+    the format's decomposition reconstructs the tensor.
     """
     dims = check_shape(shape)
     d = len(dims)
@@ -85,31 +94,29 @@ def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None 
         return generate_test_tensor(dims, rank, rng)
     if fmt == "tt":
         clamp_ranks("tt", rank, dims)  # validation only: the cores keep the ranks asked for
-        r = tuple(int(v) for v in rank)
+        r = (1, *(int(v) for v in rank), 1)
         rng = np.random.default_rng(rng)
-        X = rng.standard_normal((dims[0], r[0]))
-        for k in range(1, d - 1):
-            G = rng.standard_normal((r[k - 1], dims[k], r[k]))
-            X = np.tensordot(X, G, axes=(X.ndim - 1, 0))
-        X = np.tensordot(X, rng.standard_normal((r[-1], dims[-1])), axes=(X.ndim - 1, 0))
-        return X
+        cores = [rng.standard_normal((r[k], dims[k], r[k + 1])) for k in range(d)]
+        # boundary ranks are 1: the first core is n_1 x r_1, the last r_{d-1} x n_d
+        return TTDecomposition((cores[0][0], *cores[1:-1], cores[-1][..., 0])).reconstruct()
     if fmt == "ht":
         tree = default_tree(tree, d)
         ranks = normalize_ht_ranks(tree, rank, dims)
         rng = np.random.default_rng(rng)
+        frames, transfers = {}, {}
 
-        def frame(node):
+        def draw_node(node):  # depth first, left son first: the order that fixes every seeded X0
             if tree.is_leaf(node):
-                M = rng.standard_normal((dims[node[0]], ranks[node]))
-                Q, _ = np.linalg.qr(M)
-                return Q
+                frames[node[0]], _ = np.linalg.qr(rng.standard_normal((dims[node[0]], ranks[node])))
+                return
             s1, s2 = tree.children(node)
-            U1, U2 = frame(s1), frame(s2)
-            B = rng.standard_normal((ranks[node], U1.shape[1] * U2.shape[1]))
-            return np.kron(U2, U1) @ B.T
+            draw_node(s1)
+            draw_node(s2)
+            r = (ranks[node], ranks[s1], ranks[s2])
+            transfers[node] = rng.standard_normal((r[0], r[1] * r[2])).reshape(r, order="F")
 
-        v = frame(tree.root)
-        return v[:, 0].reshape(dims, order="F")
+        draw_node(tree.root)
+        return HTDecomposition(tree, transfers, frames, dims).reconstruct()
     raise ValueError(f"unknown tensor format {fmt!r}")
 
 
@@ -140,6 +147,19 @@ class ExperimentSpec:
         if self.ensemble not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
+        self.solver_config()  # validates variant, format, max_iters and conv_tol
+        clamp_ranks(self.format, self.rank, self.shape, self.tree)  # validates the rank
+
+    def solver_config(self) -> SolverConfig:
+        """The solver settings every trial of the sweep runs with."""
+        return SolverConfig(
+            rank=self.rank,
+            variant=self.variant,
+            format=self.format,
+            tree=self.tree,
+            max_iters=self.max_iters,
+            conv_tol=self.conv_tol,
+        )
 
     @property
     def size(self) -> int:
@@ -206,15 +226,7 @@ def measurements_for(spec: ExperimentSpec, nbar: int, trial: int):
 def run_single_trial(spec: ExperimentSpec, nbar: int, trial: int):
     """Run one seeded trial; returns (success, iterations, final_error)."""
     X0, A, y = measurements_for(spec, nbar, trial)
-    config = SolverConfig(
-        rank=spec.rank,
-        variant=spec.variant,
-        format=spec.format,
-        tree=spec.tree,
-        max_iters=spec.max_iters,
-        conv_tol=spec.conv_tol,
-    )
-    result = tiht_run(A, y, config, X_ref=X0, success_threshold=spec.threshold)
+    result = tiht_run(A, y, spec.solver_config(), X_ref=X0, success_threshold=spec.threshold)
     return bool(result.success), result.iterations, float(result.final_error)
 
 
@@ -266,18 +278,19 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     return PhaseDiagram(spec=spec, cells=cells)
 
 
-_COLUMNS = [
-    "type",
-    "shape",
-    "rank",
-    "variant",
-    "nbar",
-    "m",
-    "successes",
-    "trials",
-    "mean_iters",
-    "mean_error",
-]
+# results-file columns in their fixed order, each with the converter that reads it back
+_COLUMNS = {
+    "type": str,
+    "shape": str,
+    "rank": str,
+    "variant": str,
+    "nbar": int,
+    "m": int,
+    "successes": int,
+    "trials": int,
+    "mean_iters": float,
+    "mean_error": float,
+}
 
 
 def _rank_label(rank) -> str:
@@ -288,8 +301,12 @@ def _rank_label(rank) -> str:
     return str(int(rank))
 
 
-def emit_results(diagram: PhaseDiagram, path, fmt: str = "csv") -> None:
-    """Write cells with the fixed column order, sorted by (variant, nbar)."""
+def emit_results(diagram: PhaseDiagram, path) -> None:
+    """Write cells with the fixed column order, sorted by (variant, nbar).
+
+    A path ending in ``.json`` gets a JSON list of rows, any other path CSV,
+    the same choice :func:`load_results` makes.
+    """
     if not diagram.cells:
         raise ValueError("nothing to emit: no cells")
     rows = []
@@ -309,21 +326,14 @@ def emit_results(diagram: PhaseDiagram, path, fmt: str = "csv") -> None:
             }
         )
     try:
-        if fmt == "csv":
-            import csv
-
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
-                writer.writeheader()
-                writer.writerows(rows)
-        elif fmt == "json":
-            import json
-
-            with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
+            if str(path).endswith(".json"):
                 json.dump(rows, fh, indent=2)
                 fh.write("\n")
-        else:
-            raise ValueError(f"unknown output format {fmt!r}")
+            else:
+                writer = csv.DictWriter(fh, fieldnames=list(_COLUMNS))
+                writer.writeheader()
+                writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
@@ -332,32 +342,8 @@ def load_results(path) -> list[dict]:
     """Parse a results file back into row dicts (numbers restored)."""
     path = str(path)
     try:
-        if path.endswith(".json"):
-            import json
-
-            with open(path) as fh:
-                rows = json.load(fh)
-        else:
-            import csv
-
-            with open(path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
+        with open(path, newline="") as fh:
+            rows = json.load(fh) if path.endswith(".json") else list(csv.DictReader(fh))
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "type": row["type"],
-                "shape": row["shape"],
-                "rank": row["rank"],
-                "variant": row["variant"],
-                "nbar": int(row["nbar"]),
-                "m": int(row["m"]),
-                "successes": int(row["successes"]),
-                "trials": int(row["trials"]),
-                "mean_iters": float(row["mean_iters"]),
-                "mean_error": float(row["mean_error"]),
-            }
-        )
-    return out
+    return [{name: convert(row[name]) for name, convert in _COLUMNS.items()} for row in rows]

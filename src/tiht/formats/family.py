@@ -181,7 +181,9 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
     HOSVD and TT ranks are sequences with one rank per mode set; HT ranks are
     a single int for every node or a mapping from tree node (lo, hi) to rank.
     Each rank must be >= 1 and is clamped to min(r, n_S, N / n_S), the row
-    and column dimensions of its matricization.  Returns ``(sets, ranks)``.
+    and column dimensions of its matricization; a TT rank is also clamped, left
+    to right, to r_{k-1} n_k, the most TT-SVD can attain after the previous
+    prefix.  Returns ``(sets, ranks)``.
     """
     dims = check_shape(shape)
     sets = mode_sets(fmt, len(dims), tree)
@@ -200,7 +202,11 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
         raise ValueError(f"ranks must be >= 1, got {r}")
     N = math.prod(dims)
     rows = [math.prod(dims[k] for k in S) for S in sets]
-    return sets, tuple(min(v, n, N // n) for v, n in zip(r, rows))
+    r = [min(v, n, N // n) for v, n in zip(r, rows)]
+    if fmt == "tt":
+        for k in range(1, len(r)):
+            r[k] = min(r[k], r[k - 1] * dims[k])
+    return sets, tuple(r)
 
 
 def probe_ranks(X, sets) -> tuple[int, ...]:

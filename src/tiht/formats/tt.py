@@ -65,11 +65,10 @@ def tt_truncate(X, ranks) -> TTDecomposition:
     cores = []
     M = matricize(X, (0,))  # n_1 x (n_2 ... n_d)
     prev = 1
-    for k in range(d - 1):
+    for k, rk in enumerate(r):
         rows = prev * dims[k]
         A = M.reshape(rows, -1, order="F")
         U, s, Vt = signed_svd(A)
-        rk = min(r[k], len(s))
         U = U[:, :rk]
         if k == 0:
             cores.append(U)

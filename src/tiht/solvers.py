@@ -204,16 +204,13 @@ def tiht_run(
     if y.shape != (A.m,):
         raise ValueError(f"measurement vector of shape {y.shape}, expected ({A.m},)")
     dtype = np.complex128 if A.field == "complex" else np.float64
-    if config.initial is not None:
-        X = np.asarray(config.initial, dtype=dtype)
-        if X.shape != A.shape:
-            raise ValueError(f"initial tensor shape {X.shape} does not match {A.shape}")
-    else:
-        X = np.zeros(A.shape, dtype=dtype)
+    X = np.zeros(A.shape, dtype=dtype) if config.initial is None else np.asarray(config.initial, dtype=dtype)
+    if X.shape != A.shape:
+        raise ValueError(f"initial tensor shape {X.shape} does not match {A.shape}")
 
+    ntiht = config.variant == "ntiht"
     trace: list[IterateState] = []
-    converged = False
-    diverged = False
+    converged = diverged = False
     AX = None  # A(X) when the safeguard has already measured X
     D = None  # decomposition of the truncation that produced X
     # overflow along a diverging trajectory is detected and recorded below, so
@@ -226,42 +223,39 @@ def tiht_run(
                 diverged = True  # recorded outcome, not an error
                 break
             g = A.adjoint(resid)
-            fallback = False
-            retries = 0
-            if config.variant == "ntiht":
+            if ntiht:
                 if D is None:
                     projector = build_Mj(config.format, X, config.rank, config.tree)
                 else:
                     projector = RankProjector(X.shape, D.blocks())
                 mu, fallback = _mu_from_direction(A, projector(g))
             else:
-                mu = ctiht_step_size()
-            Y = X + mu * g
-            if not np.all(np.isfinite(Y)):
-                diverged = True
-                break
-            D = truncate(Y, config.format, config.rank, config.tree)
-            X_next = D.reconstruct()
-            if config.variant == "ntiht":
-                # keep the normalized step when it does not increase the
-                # residual; otherwise back the step off geometrically until it
-                # does, with the stability bound mu <= ||dX||^2 / ||A(dX)||^2
-                # of the changed-subspace test as the floor
+                mu, fallback = ctiht_step_size(), False
+            # one candidate pass per step size: CTIHT keeps the first; NTIHT
+            # keeps it when it does not increase the residual, otherwise backs
+            # the step off geometrically until it does, with the stability
+            # bound mu <= ||dX||^2 / ||A(dX)||^2 of the changed-subspace test
+            # as the floor
+            retries = 0
+            while True:
+                Y = X + mu * g
+                diverged = not np.all(np.isfinite(Y))
+                if diverged:
+                    break
+                D = truncate(Y, config.format, config.rank, config.tree)
+                X_next = D.reconstruct()
+                if not ntiht:
+                    break
                 AX = A.apply(X_next)
-                cand_resid = float(np.linalg.norm(y - AX))
-                while not cand_resid <= resid_norm and retries < 60:
-                    omega, no_bound = _mu_from_direction(A, X_next - X)
-                    if no_bound or not np.isfinite(omega) or mu <= omega:
-                        break
-                    mu = mu / 1.3
-                    if mu <= omega:
-                        mu = 0.99 * omega
-                    Y = X + mu * g
-                    D = truncate(Y, config.format, config.rank, config.tree)
-                    X_next = D.reconstruct()
-                    AX = A.apply(X_next)
-                    cand_resid = float(np.linalg.norm(y - AX))
-                    retries += 1
+                if float(np.linalg.norm(y - AX)) <= resid_norm or retries == 60:
+                    break
+                omega, no_bound = _mu_from_direction(A, X_next - X)
+                if no_bound or not np.isfinite(omega) or mu <= omega:
+                    break
+                mu = mu / 1.3 if mu / 1.3 > omega else 0.99 * omega
+                retries += 1
+            if diverged:
+                break
             step_norm = frobenius_norm(X_next - X)
             eps_ratio = None
             if X_ref is not None:
@@ -269,48 +263,23 @@ def tiht_run(
                 num = frobenius_norm(Y - X_next)
                 if den > 0:
                     eps_ratio = num / den
-                else:
-                    # gradient step landed exactly on the reference; the ratio
-                    # is 0 when the truncation kept it, else unbounded
-                    eps_ratio = (
-                        0.0
-                        if num <= 1e-10 * max(frobenius_norm(Y), 1.0)
-                        else float("inf")
-                    )
-            trace.append(
-                IterateState(
-                    iteration=j,
-                    mu=mu,
-                    residual=resid_norm,
-                    step_norm=step_norm,
-                    eps_ratio=eps_ratio,
-                    mu_fallback=fallback,
-                    X=X.copy() if config.keep_iterates else None,
-                    retries=retries,
-                )
-            )
+                else:  # Y is X_ref: 0 when the truncation kept it, else unbounded
+                    eps_ratio = 0.0 if num <= 1e-10 * max(frobenius_norm(Y), 1.0) else float("inf")
+            X_kept = X.copy() if config.keep_iterates else None
+            trace.append(IterateState(j, mu, resid_norm, step_norm, eps_ratio, fallback, X_kept, retries))
             X = X_next
             if step_norm < config.conv_tol:
                 converged = True
                 break
 
-        final_error = None
-        success = None
+        final_error = success = None
         if X_ref is not None:
             diff_norm = frobenius_norm(X - X_ref)
             final_error = diff_norm if np.isfinite(diff_norm) else float("inf")
             if success_threshold is not None:
                 success = bool(final_error < success_threshold)
 
-    return RecoveryResult(
-        tensor=X,
-        iterations=len(trace),
-        converged=converged,
-        trace=trace,
-        final_error=final_error,
-        success=success,
-        diverged=diverged,
-    )
+    return RecoveryResult(X, len(trace), converged, trace, final_error, success, diverged)
 
 
 def monitor_eps_condition(result: RecoveryResult) -> np.ndarray:

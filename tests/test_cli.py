@@ -78,6 +78,27 @@ def test_phase_subcommand_writes_results(tmp_path, capsys):
     assert "nbar_full=" in printed
 
 
+def test_phase_json_results_are_read_back(tmp_path, capsys):
+    # the suffix alone picks the format, for writing as for reading
+    out = tmp_path / "cells.json"
+    code = main(
+        "phase --shape 4x4 --rank 1,1 --grid 50 --trials 2 --seed 5 --max-iters 200".split()
+        + ["--out", str(out)]
+    )
+    assert code == 0
+    rows = load_results(out)
+    assert [(r["nbar"], r["trials"]) for r in rows] == [(50, 2)]
+
+
+@pytest.mark.parametrize(
+    "flag", ["--variant=ctiht", "--max-iters=3", "--conv-tol=1e-3", "--threshold=1e-3"]
+)
+def test_trip_rejects_solver_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trip", "--shape", "5x5x5", "--rank", "1,1,1", "--m", "100", "--samples", "4", flag])
+    assert exc.value.code == 2
+
+
 def test_trip_subcommand(capsys):
     code = main(
         "trip --shape 5x5x5 --rank 1,1,1 --m 100 --samples 40 --seed 2".split()

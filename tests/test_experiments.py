@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,18 @@ def test_spec_threshold_is_kept_as_given_and_must_be_positive():
             _small_spec(threshold=bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"variant": "bogus"}, {"format": "bogus"}, {"max_iters": 0}, {"conv_tol": 0.0}, {"rank": (1, 1)}],
+    ids=["variant", "format", "max_iters", "conv_tol", "rank-length"],
+)
+def test_spec_validates_solver_fields_and_rank_when_built(bad):
+    with pytest.raises(ValueError):
+        _small_spec(**bad)
+    shortened = dataclasses.replace(_small_spec(), trials=1, max_iters=2)
+    assert (shortened.trials, shortened.max_iters) == (1, 2)
+
+
 def test_phase_diagram_deterministic_across_worker_counts():
     spec = _small_spec()
     serial = run_phase_diagram(spec, workers=1)
@@ -132,9 +145,9 @@ def test_completion_resamples_index_set_per_trial():
 def test_emit_and_load_roundtrip(tmp_path):
     spec = _small_spec()
     diagram = run_phase_diagram(spec, workers=1)
-    for fmt, name in (("csv", "out.csv"), ("json", "out.json")):
+    for name in ("out.csv", "out.json"):
         path = tmp_path / name
-        emit_results(diagram, path, fmt=fmt)
+        emit_results(diagram, path)
         rows = load_results(path)
         assert [r["nbar"] for r in rows] == sorted(r["nbar"] for r in rows)
         assert len(rows) == len(diagram.cells)

@@ -361,6 +361,9 @@ def _factored_cases():
         yield field, "ht", (5, 5, 5), 2, None
         yield field, "ht", (4, 5, 3, 6), 2, DimensionTree.balanced(4)
         yield field, "ht", (4, 5, 3, 6), 2, DimensionTree.degenerate(4)
+    for field in ("real", "complex"):
+        # clamped to the attainable (1, 3, 1): both bases of the prefix (0, 1) are 9 x 3
+        yield field, "tt", (3, 3, 3, 3), (1, 9, 1), None
 
 
 @pytest.mark.parametrize("field, fmt, shape, rank, tree", list(_factored_cases()))
