@@ -23,11 +23,9 @@ from .formats import (
     HosvdDecomposition,
     HTDecomposition,
     TTDecomposition,
-    hosvd_decompose,
     hosvd_rank,
     hosvd_truncate,
     ht_rank,
-    ht_right_orthogonalize,
     ht_truncate,
     truncate,
     tt_rank,
@@ -38,16 +36,11 @@ from .measurements import (
     FourierEnsemble,
     GaussianEnsemble,
     draw,
-    ensemble_spec,
-    from_spec,
-    operator_norm,
 )
 from .solvers import (
     RecoveryResult,
     SolverConfig,
     build_Mj,
-    ctiht_step_size,
-    monitor_eps_condition,
     ntiht_step_size,
     tiht_run,
 )
@@ -71,6 +64,5 @@ from .experiments import (
     run_phase_diagram,
     run_single_trial,
 )
-from .io import load_decomposition, load_tensor, save_decomposition, save_tensor
 
 __version__ = "0.1.0"

@@ -59,6 +59,16 @@ def success_threshold(ensemble: str, threshold: float | None = None) -> float:
     return threshold
 
 
+def _generator_rank(dims: tuple[int, ...], rank) -> tuple[int, ...]:
+    """The multilinear rank :func:`generate_test_tensor` draws: r_k in [1, n_k], never clamped."""
+    r = tuple(int(v) for v in rank)
+    if len(r) != len(dims):
+        raise ValueError(f"rank tuple {r} does not match order {len(dims)}")
+    if any(not 1 <= v <= n for v, n in zip(r, dims)):
+        raise ValueError(f"ranks {r} must lie in [1, n_k] for shape {dims}")
+    return r
+
+
 def generate_test_tensor(shape, rank, seed) -> np.ndarray:
     """Random tensor of exact (almost surely) multilinear rank ``rank``.
 
@@ -67,11 +77,7 @@ def generate_test_tensor(shape, rank, seed) -> np.ndarray:
     Deterministic per seed.
     """
     dims = check_shape(shape)
-    r = tuple(int(v) for v in rank)
-    if len(r) != len(dims):
-        raise ValueError(f"rank tuple {r} does not match order {len(dims)}")
-    if any(not 1 <= v <= n for v, n in zip(r, dims)):
-        raise ValueError(f"ranks {r} must lie in [1, n_k] for shape {dims}")
+    r = _generator_rank(dims, rank)
     rng = np.random.default_rng(seed)
     core = rng.standard_normal(r)
     factors = []
@@ -149,6 +155,8 @@ class ExperimentSpec:
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
         self.solver_config()  # validates variant, format, max_iters and conv_tol
         clamp_ranks(self.format, self.rank, self.shape, self.tree)  # validates the rank
+        if self.format == "hosvd":
+            _generator_rank(self.shape, self.rank)  # HOSVD test tensors are drawn at it, unclamped
 
     def solver_config(self) -> SolverConfig:
         """The solver settings every trial of the sweep runs with."""

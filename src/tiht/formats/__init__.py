@@ -22,8 +22,8 @@ from .family import (
     mode_sets,
     probe_ranks,
 )
-from .hosvd import HosvdDecomposition, hosvd_decompose, hosvd_rank, hosvd_truncate
-from .ht import HTDecomposition, ht_rank, ht_right_orthogonalize, ht_truncate, normalize_ht_ranks
+from .hosvd import HosvdDecomposition, hosvd_rank, hosvd_truncate
+from .ht import HTDecomposition, ht_rank, ht_truncate, normalize_ht_ranks
 from .tt import TTDecomposition, tt_rank, tt_truncate
 
 __all__ = [
@@ -37,13 +37,11 @@ __all__ = [
     "TTDecomposition",
     "DimensionTree",
     "HTDecomposition",
-    "hosvd_decompose",
     "hosvd_truncate",
     "hosvd_rank",
     "tt_truncate",
     "tt_rank",
     "ht_truncate",
-    "ht_right_orthogonalize",
     "ht_rank",
     "normalize_ht_ranks",
     "truncate",

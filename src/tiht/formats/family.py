@@ -34,14 +34,12 @@ class DimensionTree:
         self.order: int = root[1]
         self.root: Node = root
         self._children: dict[Node, tuple[Node, Node]] = children
-        self._parent: dict[Node, Node] = {}
         self._level: dict[Node, int] = {self.root: 0}
         stack = [self.root]
         while stack:
             node = stack.pop()
             if node in self._children:
                 for son in self._children[node]:
-                    self._parent[son] = node
                     self._level[son] = self._level[node] + 1
                     stack.append(son)
 
@@ -88,9 +86,6 @@ class DimensionTree:
 
     def children(self, node: Node) -> tuple[Node, Node]:
         return self._children[node]
-
-    def parent(self, node: Node) -> Node:
-        return self._parent[node]
 
     def modes(self, node: Node) -> tuple[int, ...]:
         return tuple(range(node[0], node[1]))

@@ -1,4 +1,4 @@
-"""Higher-order SVD: full decomposition, rank-r truncation, reconstruction.
+"""Higher-order SVD: rank-r truncation and reconstruction.
 
 The decomposition of X is ``core x_1 U_1 ... x_d U_d`` with the U_k holding
 left singular vectors of the mode-k unfoldings.  By construction the core is
@@ -14,9 +14,9 @@ import numpy as np
 
 from .._linalg import top_left_vectors
 from ..tensors import as_tensor, matricize, mode_product
-from .family import DegenerateTensorError, clamp_ranks, mode_sets, probe_ranks
+from .family import clamp_ranks, mode_sets, probe_ranks
 
-__all__ = ["HosvdDecomposition", "hosvd_decompose", "hosvd_truncate", "hosvd_rank"]
+__all__ = ["HosvdDecomposition", "hosvd_truncate", "hosvd_rank"]
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,6 @@ class HosvdDecomposition:
     def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """``((k,), U_k)`` for every mode: the factors span the mode-k unfoldings' column spaces."""
         return [((k,), U) for k, U in enumerate(self.factors)]
-
-
-def hosvd_decompose(X) -> HosvdDecomposition:
-    """Full HOSVD at the numerical ranks of all unfoldings.
-
-    Raises :class:`DegenerateTensorError` for the zero tensor.  The
-    reconstruction equals X up to roundoff.
-    """
-    X = as_tensor(X)
-    if not np.any(X):
-        raise DegenerateTensorError("HOSVD of the zero tensor is undefined")
-    return hosvd_truncate(X, hosvd_rank(X))
 
 
 def hosvd_truncate(X, ranks) -> HosvdDecomposition:

@@ -1,5 +1,5 @@
-"""Hierarchical Tucker format: leaves-to-root truncation over a dimension tree,
-right-orthogonalization, reconstruction.
+"""Hierarchical Tucker format: leaves-to-root truncation over a dimension tree
+and reconstruction.
 
 Tree nodes are the half-open mode intervals ``(lo, hi)`` of
 :class:`~tiht.formats.family.DimensionTree`.
@@ -12,17 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import top_left_vectors
-from ..tensors import as_tensor, matricize, mode_product, tensorize, unvec
+from ..tensors import as_tensor, matricize, tensorize, unvec
 from .family import DimensionTree, Node, clamp_ranks, mode_sets, node_of, probe_ranks
 from .hosvd import hosvd_truncate
 
-__all__ = [
-    "HTDecomposition",
-    "ht_truncate",
-    "ht_right_orthogonalize",
-    "ht_rank",
-    "normalize_ht_ranks",
-]
+__all__ = ["HTDecomposition", "ht_truncate", "ht_rank", "normalize_ht_ranks"]
 
 
 @dataclass(frozen=True)
@@ -115,28 +109,6 @@ def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
         raise RuntimeError("tree traversal did not reduce to the root's sons")
     transfers[tree.root] = C[None, :, :]
     return HTDecomposition(tree=tree, transfers=transfers, frames=frames, shape=dims)
-
-
-def ht_right_orthogonalize(H: HTDecomposition) -> HTDecomposition:
-    """QR sweep from the deepest transfer tensors up to the root.
-
-    Each non-root transfer tensor is replaced by the orthogonal factor of the
-    QR decomposition of its {2,3}-flattening; the triangular factor is
-    absorbed into the father on the matching son slot.  The represented
-    tensor is unchanged; only the root may stay non-orthogonal.
-    """
-    transfers = {t: B for t, B in H.transfers.items()}
-    tree = H.tree
-    for node in tree.interior_bottom_up(include_root=False):
-        B = transfers[node]
-        rt, r1, r2 = B.shape
-        Q, R = np.linalg.qr(matricize(B, (1, 2)))
-        k = Q.shape[1]
-        transfers[node] = Q.reshape(r1, r2, k, order="F").transpose(2, 0, 1)
-        father = tree.parent(node)
-        side = 1 if tree.children(father)[0] == node else 2
-        transfers[father] = mode_product(transfers[father], R, side)
-    return HTDecomposition(tree=tree, transfers=transfers, frames=dict(H.frames), shape=H.shape)
 
 
 def ht_rank(X, tree: DimensionTree) -> dict[Node, int]:

@@ -6,8 +6,7 @@ replacement, all scaled by 1/sqrt(m)), and entry sampling for completion
 (scaled by sqrt(N/m)).  All are normalized so that E||A(X)||^2 = ||X||_F^2.
 
 Ensembles are immutable after :func:`draw`; ``apply``/``adjoint`` are pure.
-The canonical persisted form of an ensemble is its (kind, shape, m, seed)
-record - ensembles are re-drawn from it, never stored densely.
+An ensemble is never stored: it is re-drawn from ``draw(kind, shape, m, seed)``.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ __all__ = [
     "FourierEnsemble",
     "CompletionEnsemble",
     "draw",
-    "from_spec",
-    "ensemble_spec",
-    "operator_norm",
 ]
 
 
@@ -213,41 +209,3 @@ def draw(kind: str, shape, m: int, seed) -> MeasurementEnsemble:
         raise ValueError(f"unknown ensemble kind {kind!r}; choose from {sorted(_KINDS)}")
     return _KINDS[kind].draw(shape, m, seed)
 
-
-def ensemble_spec(A: MeasurementEnsemble) -> dict:
-    """Canonical serialized form; the ensemble is re-drawn from it."""
-    if A.seed is None:
-        raise ValueError("ensembles built from explicit matrices have no canonical spec")
-    seed = list(A.seed) if isinstance(A.seed, (tuple, list)) else A.seed
-    return {"kind": A.kind, "shape": list(A.shape), "m": A.m, "seed": seed}
-
-
-def from_spec(spec: dict) -> MeasurementEnsemble:
-    return draw(spec["kind"], tuple(spec["shape"]), spec["m"], spec["seed"])
-
-
-def operator_norm(A: MeasurementEnsemble, iters: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest singular value of the matrix form.
-
-    Runs on A* A; the Rayleigh quotient is nondecreasing in ``iters`` up to
-    rounding.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.shape)
-    if A.field == "complex":
-        x = x + 1j * rng.standard_normal(A.shape)
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        return 0.0
-    x = x / nx
-    lam = 0.0
-    for _ in range(int(iters)):
-        z = A.adjoint(A.apply(x))
-        lam = float(np.vdot(x, z).real)
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            return 0.0
-        x = z / nz
-    return math.sqrt(max(lam, 0.0))

@@ -37,10 +37,8 @@ __all__ = [
     "RecoveryResult",
     "RankProjector",
     "build_Mj",
-    "ctiht_step_size",
     "ntiht_step_size",
     "tiht_run",
-    "monitor_eps_condition",
     "export_trace_csv",
 ]
 
@@ -160,11 +158,6 @@ def build_Mj(fmt: str, X_j: np.ndarray, rank, tree: DimensionTree | None = None)
     return RankProjector(X_j.shape, blocks)
 
 
-def ctiht_step_size() -> float:
-    """Classical variant: the step size is always 1."""
-    return 1.0
-
-
 def _mu_from_direction(A: MeasurementEnsemble, t: np.ndarray) -> tuple[float, bool]:
     tv = vec(t)
     num = float(np.vdot(tv, tv).real)
@@ -230,7 +223,7 @@ def tiht_run(
                     projector = RankProjector(X.shape, D.blocks())
                 mu, fallback = _mu_from_direction(A, projector(g))
             else:
-                mu, fallback = ctiht_step_size(), False
+                mu, fallback = 1.0, False
             # one candidate pass per step size: CTIHT keeps the first; NTIHT
             # keeps it when it does not increase the residual, otherwise backs
             # the step off geometrically until it does, with the stability
@@ -280,17 +273,6 @@ def tiht_run(
                 success = bool(final_error < success_threshold)
 
     return RecoveryResult(X, len(trace), converged, trace, final_error, success, diverged)
-
-
-def monitor_eps_condition(result: RecoveryResult) -> np.ndarray:
-    """Per-iteration values of ||Y - X^{j+1}|| / ||Y - X_ref|| - 1.
-
-    Diagnostic only: negative or small values indicate the truncation was
-    nearly as good an approximation of Y as the reference tensor.
-    """
-    if not result.trace or result.trace[0].eps_ratio is None:
-        raise ValueError("run was traced without a reference tensor")
-    return result.eps_ratios - 1.0
 
 
 def export_trace_csv(result: RecoveryResult, path) -> None:

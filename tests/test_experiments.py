@@ -80,14 +80,27 @@ def test_spec_threshold_is_kept_as_given_and_must_be_positive():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"variant": "bogus"}, {"format": "bogus"}, {"max_iters": 0}, {"conv_tol": 0.0}, {"rank": (1, 1)}],
-    ids=["variant", "format", "max_iters", "conv_tol", "rank-length"],
+    [
+        {"variant": "bogus"},
+        {"format": "bogus"},
+        {"max_iters": 0},
+        {"conv_tol": 0.0},
+        {"rank": (1, 1)},
+        {"shape": (3, 3, 3), "rank": (4, 1, 1)},
+    ],
+    ids=["variant", "format", "max_iters", "conv_tol", "rank-length", "hosvd-rank-above-extent"],
 )
 def test_spec_validates_solver_fields_and_rank_when_built(bad):
     with pytest.raises(ValueError):
         _small_spec(**bad)
     shortened = dataclasses.replace(_small_spec(), trials=1, max_iters=2)
     assert (shortened.trials, shortened.max_iters) == (1, 2)
+
+
+def test_spec_accepts_tt_and_ht_ranks_that_get_clamped():
+    for fmt, rank in (("tt", (9, 9)), ("ht", 9)):
+        spec = _small_spec(shape=(3, 3, 3), rank=rank, format=fmt, trials=1, max_iters=2)
+        assert run_phase_diagram(spec, workers=1).cells[0].trials == 1
 
 
 def test_phase_diagram_deterministic_across_worker_counts():

@@ -5,7 +5,6 @@ import pytest
 
 from tiht.formats import (
     DegenerateTensorError,
-    hosvd_decompose,
     hosvd_rank,
     hosvd_truncate,
 )
@@ -26,7 +25,7 @@ def test_decompose_rank_one_tensor():
     v = np.array([1.0, 1.0, 1.0])
     w = np.array([2.0, 0.0])
     X = np.einsum("i,j,k->ijk", u, v, w)
-    D = hosvd_decompose(X)
+    D = hosvd_truncate(X, hosvd_rank(X))
     assert D.ranks == (1, 1, 1)
     weight = np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(w)
     assert np.isclose(abs(D.core[0, 0, 0]), weight)
@@ -37,7 +36,8 @@ def test_decompose_rank_one_tensor():
 
 
 def test_decompose_diagonal_example_ranks_and_slice_norms():
-    D = hosvd_decompose(_diag_weight_tensor())
+    X = _diag_weight_tensor()
+    D = hosvd_truncate(X, hosvd_rank(X))
     assert D.ranks == (2, 2, 2)
     # mode-k subtensor norms of the core are the ordered singular values (2, 1)
     for k in range(3):
@@ -50,14 +50,14 @@ def test_decompose_diagonal_example_ranks_and_slice_norms():
 def test_decompose_reconstructs_random_tensor():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 4, 4))
-    D = hosvd_decompose(X)
+    D = hosvd_truncate(X, hosvd_rank(X))
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
 
 def test_decompose_invariants():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((4, 5, 6))
-    D = hosvd_decompose(X)
+    D = hosvd_truncate(X, hosvd_rank(X))
     C = D.core
     for k, U in enumerate(D.factors):
         gram = U.T @ U
@@ -71,8 +71,9 @@ def test_decompose_invariants():
 
 
 def test_decompose_zero_tensor_degenerate():
+    X = np.zeros((2, 2, 2))
     with pytest.raises(DegenerateTensorError):
-        hosvd_decompose(np.zeros((2, 2, 2)))
+        hosvd_truncate(X, hosvd_rank(X))
     with pytest.raises(DegenerateTensorError):
         hosvd_rank(np.zeros((2, 2)))
 
@@ -155,7 +156,7 @@ def test_storage_matches_parameter_count():
 def test_complex_truncation_roundtrip():
     rng = np.random.default_rng(33)
     X = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    D = hosvd_decompose(X)
+    D = hosvd_truncate(X, hosvd_rank(X))
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
     for U in D.factors:
         assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) < 1e-10

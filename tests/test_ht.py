@@ -7,11 +7,10 @@ from tiht.experiments import random_rank_r_tensor
 from tiht.formats import (
     DimensionTree,
     ht_rank,
-    ht_right_orthogonalize,
     ht_truncate,
     normalize_ht_ranks,
 )
-from tiht.tensors import frobenius_norm, matricize, mode_product
+from tiht.tensors import frobenius_norm
 
 
 def test_balanced_tree_structure():
@@ -128,71 +127,6 @@ def test_rank_map_input_and_clamping():
         normalize_ht_ranks(tree, {}, (4, 4, 4))
     with pytest.raises(ValueError):
         ht_truncate(X, DimensionTree.balanced(4), 2)
-
-
-def test_right_orthogonalize_preserves_tensor():
-    tree = DimensionTree.balanced(4)
-    for seed in range(5):
-        X = random_rank_r_tensor((3, 4, 3, 2), "ht", 2, np.random.default_rng([58, seed]), tree)
-        D = ht_truncate(X, tree, 2)
-        # scramble the transfer tensors with invertible maps to break orthogonality:
-        # B_t -> B_t x_0 W rewrites the node basis as u = W^-1 u~, so the father
-        # absorbs W^-T on the matching son mode and the tensor is unchanged
-        rng = np.random.default_rng([59, seed])
-        transfers = dict(D.transfers)
-        for node in tree.interior_bottom_up(include_root=False):
-            B = transfers[node]
-            r = B.shape[0]
-            W = np.eye(r) + 0.3 * rng.standard_normal((r, r))
-            transfers[node] = mode_product(B, W, 0)
-            father = tree.parent(node)
-            side = 1 if tree.children(father)[0] == node else 2
-            transfers[father] = mode_product(
-                transfers[father], np.linalg.inv(W).T, side
-            )
-        scrambled = type(D)(tree=tree, transfers=transfers, frames=D.frames, shape=D.shape)
-        ref = scrambled.reconstruct()
-        assert frobenius_norm(ref - X) <= 1e-8 * frobenius_norm(X)
-
-        ortho = ht_right_orthogonalize(scrambled)
-        assert frobenius_norm(ortho.reconstruct() - ref) <= 1e-10 * frobenius_norm(ref)
-        for node in tree.interior_bottom_up(include_root=False):
-            M = matricize(ortho.transfers[node], (1, 2))
-            assert np.linalg.norm(M.T @ M - np.eye(M.shape[1])) < 1e-10
-
-
-def test_right_orthogonalize_idempotent_on_representation():
-    tree = DimensionTree.balanced(4)
-    X = random_rank_r_tensor((3, 3, 3, 3), "ht", 2, np.random.default_rng(60), tree)
-    D = ht_right_orthogonalize(ht_truncate(X, tree, 2))
-    again = ht_right_orthogonalize(D)
-    assert frobenius_norm(again.reconstruct() - D.reconstruct()) <= 1e-12 * frobenius_norm(X)
-
-
-def test_root_absorbs_triangular_factors_d4():
-    # the d = 4 sweep: with both root sons right-orthogonalized as B = Q R,
-    # the new root must be  B_root x_2 R_left x_3 R_right
-    tree = DimensionTree.balanced(4)
-    rng = np.random.default_rng(61)
-    X = rng.standard_normal((3, 3, 3, 3))
-    D = ht_truncate(X, tree, 2)
-    transfers = dict(D.transfers)
-    scr = np.random.default_rng(62)
-    for node in ((0, 2), (2, 4)):
-        B = transfers[node]
-        M = np.eye(B.shape[0]) + 0.3 * scr.standard_normal((B.shape[0],) * 2)
-        transfers[node] = mode_product(B, M, 0)
-    scrambled = type(D)(tree=tree, transfers=transfers, frames=D.frames, shape=D.shape)
-    ortho = ht_right_orthogonalize(scrambled)
-
-    Rs = {}
-    for node in ((0, 2), (2, 4)):
-        Q, R = np.linalg.qr(matricize(transfers[node], (1, 2)))
-        Rs[node] = R
-    expected_root = mode_product(
-        mode_product(transfers[(0, 4)], Rs[(0, 2)], 1), Rs[(2, 4)], 2
-    )
-    assert frobenius_norm(ortho.transfers[(0, 4)] - expected_root) <= 1e-10
 
 
 def test_ht_rank_probe_on_structured_tensor():

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tiht.measurements import (
-    GaussianEnsemble,
-    draw,
-    ensemble_spec,
-    from_spec,
-    operator_norm,
-)
+from tiht.measurements import GaussianEnsemble, draw
 from tiht.tensors import frobenius_norm, inner_product, vec
 
 SMALL_SHAPES = [(2,), (5,), (8,), (2, 2), (3, 4), (8, 8), (2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2), (2,) * 6]
@@ -158,12 +152,9 @@ def test_draw_determinism_and_spec_roundtrip():
     for kind in ("gaussian", "fourier", "completion"):
         A1 = draw(kind, (3, 4), 5, seed=17)
         A2 = draw(kind, (3, 4), 5, seed=17)
-        A3 = from_spec(ensemble_spec(A1))
         rng = np.random.default_rng(18)
         X = rng.standard_normal((3, 4))
         assert np.array_equal(A1.apply(X), A2.apply(X))
-        assert np.array_equal(A1.apply(X), A3.apply(X))
-        assert ensemble_spec(A1) == ensemble_spec(A3)
 
 
 def test_sampling_without_replacement():
@@ -186,28 +177,3 @@ def test_draw_argument_errors():
     with pytest.raises(ValueError):
         A.adjoint(np.zeros(4))
 
-
-def test_operator_norm_identity():
-    A = GaussianEnsemble.from_matrix(np.eye(8), (2, 2, 2))
-    assert abs(operator_norm(A, iters=50) - 1.0) <= 1e-8
-
-
-def test_operator_norm_gaussian_matches_dense_svd():
-    A = draw("gaussian", (5, 5, 5), 40, seed=21)
-    exact = np.linalg.svd(A.matrix, compute_uv=False)[0]
-    est = operator_norm(A, iters=200)
-    assert abs(est - exact) <= 1e-6 * exact
-
-
-def test_operator_norm_fourier_matches_dense_svd():
-    A = draw("fourier", (2, 2, 2), 8, seed=22)
-    exact = np.linalg.svd(A.dense_matrix(), compute_uv=False)[0]
-    est = operator_norm(A, iters=200)
-    assert abs(est - exact) <= 1e-6 * exact
-
-
-def test_operator_norm_monotone_in_iters():
-    A = draw("gaussian", (4, 4), 6, seed=23)
-    values = [operator_norm(A, iters=k, seed=5) for k in (1, 3, 10, 40)]
-    for later, earlier in zip(values[1:], values[:-1]):
-        assert later >= earlier - 1e-12

@@ -9,9 +9,7 @@ from tiht.solvers import (
     RankProjector,
     SolverConfig,
     build_Mj,
-    ctiht_step_size,
     export_trace_csv,
-    monitor_eps_condition,
     ntiht_step_size,
     tiht_run,
 )
@@ -23,10 +21,6 @@ SHAPE = (10, 10, 10)
 def _identity_ensemble(shape=(4, 4, 4)):
     N = int(np.prod(shape))
     return GaussianEnsemble.from_matrix(np.eye(N), shape)
-
-
-def test_ctiht_step_size_constant():
-    assert ctiht_step_size() == 1.0
 
 
 def test_identity_ensemble_one_step_recovery():
@@ -200,7 +194,7 @@ def test_eps_condition_monitor_on_successful_run():
         X_ref=X0, success_threshold=1e-3,
     )
     assert res.success
-    vals = monitor_eps_condition(res)
+    vals = res.eps_ratios - 1.0
     assert np.mean(vals < 0.1) >= 0.9
 
 
@@ -210,17 +204,8 @@ def test_eps_ratio_first_step_identity_nonpositive():
     res = tiht_run(
         A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht"), X_ref=X0
     )
-    # Y^0 equals the truth exactly, truncation keeps it: ratio 0, monitor -1
+    # Y^0 equals the truth exactly, truncation keeps it: ratio 0
     assert res.trace[0].eps_ratio == 0.0
-    assert monitor_eps_condition(res)[0] <= 0.0
-
-
-def test_monitor_requires_reference():
-    A = _identity_ensemble()
-    X0 = generate_test_tensor((4, 4, 4), (1, 1, 1), seed=17)
-    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1)))
-    with pytest.raises(ValueError):
-        monitor_eps_condition(res)
 
 
 def test_iteration_purity_replay_from_trace():
