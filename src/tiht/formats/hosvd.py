@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import top_left_vectors
+from .._linalg import top_left_bases
 from ..tensors import as_tensor, matricize, mode_product
 from .family import clamp_ranks, mode_sets, probe_ranks
 
@@ -49,7 +49,7 @@ def hosvd_truncate(X, ranks) -> HosvdDecomposition:
     """
     X = as_tensor(X)
     sets, r = clamp_ranks("hosvd", ranks, X.shape)
-    factors = tuple(top_left_vectors(matricize(X, S), v) for S, v in zip(sets, r))
+    factors = tuple(top_left_bases([matricize(X, S) for S in sets], r))
     core = X
     for k, U in enumerate(factors):
         core = mode_product(core, U.conj().T, k)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import top_left_vectors
+from .._linalg import top_left_bases
 from ..tensors import as_tensor, matricize, tensorize, unvec
 from .family import DimensionTree, Node, clamp_ranks, mode_sets, node_of, probe_ranks
 from .hosvd import hosvd_truncate
@@ -98,7 +98,7 @@ def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
         r1, r2 = C.shape[p], C.shape[p + 1]
         M = matricize(C, (p, p + 1))
         rt = min(r[node], min(M.shape))
-        W = top_left_vectors(M, rt)
+        W = top_left_bases([M], [rt])[0]
         transfers[node] = W.reshape(r1, r2, rt, order="F").transpose(2, 0, 1)
         new_shape = C.shape[:p] + (rt,) + C.shape[p + 2 :]
         C = tensorize(W.conj().T @ M, (p,), new_shape)

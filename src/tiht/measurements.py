@@ -29,15 +29,12 @@ __all__ = [
 class MeasurementEnsemble:
     """Common surface: ``apply`` (tensor -> m-vector) and its exact ``adjoint``."""
 
-    kind: str = ""
-
-    def __init__(self, shape, m: int, seed=None):
+    def __init__(self, shape, m: int):
         self.shape = check_shape(shape)
         self.size = math.prod(self.shape)
         if m < 1:
             raise ValueError(f"number of measurements must be >= 1, got {m}")
         self.m = int(m)
-        self.seed = seed
 
     @property
     def field(self) -> str:
@@ -65,11 +62,9 @@ class MeasurementEnsemble:
 class GaussianEnsemble(MeasurementEnsemble):
     """Dense map y = A vec(X) with i.i.d. N(0, 1/m) entries."""
 
-    kind = "gaussian"
-
-    def __init__(self, matrix: np.ndarray, shape, seed=None):
+    def __init__(self, matrix: np.ndarray, shape):
         matrix = np.asarray(matrix, dtype=np.float64)
-        super().__init__(shape, matrix.shape[0], seed)
+        super().__init__(shape, matrix.shape[0])
         if matrix.shape != (self.m, self.size):
             raise ValueError(f"matrix shape {matrix.shape} does not match ({self.m}, {self.size})")
         self.matrix = matrix
@@ -79,12 +74,7 @@ class GaussianEnsemble(MeasurementEnsemble):
         shape = check_shape(shape)
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((int(m), math.prod(shape))) / math.sqrt(m)
-        return cls(A, shape, seed=seed)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, shape) -> "GaussianEnsemble":
-        """Wrap an explicit matrix (tests: identity, orthogonal, scaled maps)."""
-        return cls(matrix, shape, seed=None)
+        return cls(A, shape)
 
     def apply(self, X):
         X = self._check_input(X)
@@ -104,12 +94,10 @@ class FourierEnsemble(MeasurementEnsemble):
     0-based indices, i.e. numpy's ``fftn``.
     """
 
-    kind = "fourier"
-
-    def __init__(self, signs: np.ndarray, omega: np.ndarray, seed=None):
+    def __init__(self, signs: np.ndarray, omega: np.ndarray):
         signs = np.asarray(signs, dtype=np.float64)
         omega = np.asarray(omega, dtype=np.intp)
-        super().__init__(signs.shape, omega.size, seed)
+        super().__init__(signs.shape, omega.size)
         if self.m > self.size:
             raise ValueError(f"m = {self.m} exceeds tensor size {self.size}")
         if len(np.unique(omega)) != omega.size:
@@ -130,7 +118,7 @@ class FourierEnsemble(MeasurementEnsemble):
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
         omega = rng.choice(N, size=int(m), replace=False)
-        return cls(signs, omega, seed=seed)
+        return cls(signs, omega)
 
     def apply(self, X):
         X = self._check_input(X)
@@ -163,11 +151,9 @@ class FourierEnsemble(MeasurementEnsemble):
 class CompletionEnsemble(MeasurementEnsemble):
     """Entry sampling: y_j = sqrt(N/m) X(j) for j in the sample set."""
 
-    kind = "completion"
-
-    def __init__(self, shape, omega: np.ndarray, seed=None):
+    def __init__(self, shape, omega: np.ndarray):
         omega = np.asarray(omega, dtype=np.intp)
-        super().__init__(shape, omega.size, seed)
+        super().__init__(shape, omega.size)
         if self.m > self.size:
             raise ValueError(f"m = {self.m} exceeds tensor size {self.size}")
         if len(np.unique(omega)) != omega.size:
@@ -183,7 +169,7 @@ class CompletionEnsemble(MeasurementEnsemble):
             raise ValueError(f"need 1 <= m <= {N}, got m = {m}")
         rng = np.random.default_rng(seed)
         omega = rng.choice(N, size=int(m), replace=False)
-        return cls(shape, omega, seed=seed)
+        return cls(shape, omega)
 
     def apply(self, X):
         X = self._check_input(X)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .formats import FORMATS, DimensionTree, clamp_ranks, truncate
 from .measurements import MeasurementEnsemble
-from ._linalg import top_left_vectors
+from ._linalg import top_left_bases
 from .tensors import frobenius_norm, matricize, tensorize, vec
 
 __all__ = [
@@ -130,14 +130,14 @@ class RankProjector:
     def __init__(self, shape: tuple[int, ...], blocks):
         self.shape = tuple(shape)
         self.blocks = list(blocks)  # (modes, orthonormal basis) pairs, in order
+        self._adjoints = [U.conj().T for _, U in self.blocks]
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z)
         if Z.shape != self.shape:
             raise ValueError(f"tensor of shape {Z.shape} does not match projector shape {self.shape}")
-        for modes, U in self.blocks:
-            M = matricize(Z, modes)
-            Z = tensorize(U @ (U.conj().T @ M), modes, self.shape)
+        for (modes, U), UH in zip(self.blocks, self._adjoints):
+            Z = tensorize(U @ (UH @ matricize(Z, modes)), modes, self.shape)
         return Z
 
 
@@ -154,8 +154,8 @@ def build_Mj(fmt: str, X_j: np.ndarray, rank, tree: DimensionTree | None = None)
     """
     X_j = np.asarray(X_j)
     sets, r = clamp_ranks(fmt, rank, X_j.shape, tree)
-    blocks = [(S, top_left_vectors(matricize(X_j, S), v)) for S, v in zip(sets, r)]
-    return RankProjector(X_j.shape, blocks)
+    bases = top_left_bases([matricize(X_j, S) for S in sets], r)
+    return RankProjector(X_j.shape, zip(sets, bases))
 
 
 def _mu_from_direction(A: MeasurementEnsemble, t: np.ndarray) -> tuple[float, bool]:

@@ -10,6 +10,7 @@ and column index groups the same way.  Mode indices are 0-based.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -109,6 +110,21 @@ def complement_modes(modes: Sequence[int], order: int) -> tuple[int, ...]:
     return tuple(k for k in range(order) if k not in S)
 
 
+@functools.lru_cache(maxsize=256)
+def _layout(modes: tuple[int, ...], shape: tuple[int, ...]):
+    """Validated layout of the S-matricization of a tensor of this shape.
+
+    The axis permutation (row modes, then the rest), its inverse, the row and
+    column counts and the permuted extents, computed once per (modes, shape).
+    """
+    dims = check_shape(shape)
+    S = check_modes(modes, len(dims))
+    perm = S + complement_modes(S, len(dims))
+    inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    rows = math.prod(dims[k] for k in S)
+    return perm, inverse, rows, math.prod(dims) // rows, tuple(dims[k] for k in perm)
+
+
 def matricize(X: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     """S-matricization: rows indexed by ``modes``, columns by the complement.
 
@@ -117,28 +133,19 @@ def matricize(X: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     (prod of row extents) x (prod of column extents) matrix.
     """
     X = np.asarray(X)
-    S = check_modes(modes, X.ndim)
-    Sc = complement_modes(S, X.ndim)
-    rows = math.prod(X.shape[k] for k in S)
-    cols = math.prod(X.shape[k] for k in Sc)
-    return np.transpose(X, S + Sc).reshape(rows, cols, order="F")
+    perm, _, rows, cols, _ = _layout(tuple(modes), X.shape)
+    return np.transpose(X, perm).reshape(rows, cols, order="F")
 
 
 def tensorize(M: np.ndarray, modes: Sequence[int], shape: Sequence[int]) -> np.ndarray:
     """Exact inverse of :func:`matricize` for the same mode set and shape."""
-    dims = check_shape(shape)
     M = np.asarray(M)
-    S = check_modes(modes, len(dims))
-    Sc = complement_modes(S, len(dims))
-    rows = math.prod(dims[k] for k in S)
-    cols = math.prod(dims[k] for k in Sc)
+    perm, inverse, rows, cols, permuted_shape = _layout(tuple(modes), tuple(shape))
     if M.shape != (rows, cols):
         raise ValueError(
-            f"matrix of shape {M.shape} inconsistent with modes {S} of shape {dims}"
+            f"matrix of shape {M.shape} inconsistent with modes {tuple(modes)} of shape {tuple(shape)}"
         )
-    perm = S + Sc
-    permuted = M.reshape([dims[k] for k in perm], order="F")
-    return np.transpose(permuted, np.argsort(perm))
+    return np.transpose(M.reshape(permuted_shape, order="F"), inverse)
 
 
 def mode_product(X: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
@@ -155,8 +162,11 @@ def mode_product(X: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(
             f"matrix of shape {A.shape} cannot contract mode {k} of extent {X.shape[k]}"
         )
-    Y = np.tensordot(X, A, axes=([k], [1]))
-    return np.moveaxis(Y, -1, k)
+    # tensordot's own contraction, without its and moveaxis's axis normalization
+    d = X.ndim
+    Y = np.dot(X.transpose(*range(k), *range(k + 1, d), k).reshape(-1, X.shape[k]), A.T)
+    Y = Y.reshape(X.shape[:k] + X.shape[k + 1 :] + A.shape[:1])
+    return Y.transpose(*range(k), d - 1, *range(k, d - 1))
 
 
 def inner_product(X: np.ndarray, Y: np.ndarray):

@@ -180,7 +180,7 @@ def test_criterion_7_exact_arithmetic_invariants():
 
 def test_criterion_8_ntiht_step_size():
     N = 64
-    A_id = GaussianEnsemble.from_matrix(np.eye(N), (4, 4, 4))
+    A_id = GaussianEnsemble(np.eye(N), (4, 4, 4))
     X0 = generate_test_tensor((4, 4, 4), (1, 1, 1), seed=[MASTER_SEED, 8])
     X_j = generate_test_tensor((4, 4, 4), (1, 1, 1), seed=[MASTER_SEED, 81])
     mu, fallback = ntiht_step_size(A_id, X_j, A_id.apply(X0), build_Mj("hosvd", X_j, (1, 1, 1)))
@@ -240,7 +240,7 @@ def test_criterion_9_formula_layer_worked_numbers():
 
 
 def test_criterion_10_trip_fixtures_substitute_for_probability_claims():
-    A_id = GaussianEnsemble.from_matrix(np.eye(64), (4, 4, 4))
+    A_id = GaussianEnsemble(np.eye(64), (4, 4, 4))
     ident = trip_estimate(A_id, "hosvd", (1, 1, 1), 50, seed=MASTER_SEED)
     assert ident.delta_hat <= 1e-12
 

@@ -17,7 +17,7 @@ from tiht.measurements import GaussianEnsemble, draw
 
 
 def test_trip_identity_ensemble_is_exact_isometry():
-    A = GaussianEnsemble.from_matrix(np.eye(64), (4, 4, 4))
+    A = GaussianEnsemble(np.eye(64), (4, 4, 4))
     est = trip_estimate(A, "hosvd", (1, 1, 1), 50, seed=0)
     assert est.delta_hat <= 1e-12
 

@@ -1,0 +1,103 @@
+"""The truncation path's kernels against the forms they replaced, bit for bit.
+
+The references below are the earlier implementations: one SVD and a Python
+column loop per basis, and ``tensordot`` plus ``moveaxis`` per mode product.
+The kernels must agree with them under ``np.array_equal``, not within a
+tolerance, so that seeded traces stay identical.
+"""
+
+import numpy as np
+import pytest
+
+from tiht._linalg import fix_svd_signs, signed_svd, top_left_bases
+from tiht.formats import hosvd_truncate
+from tiht.tensors import matricize, mode_product
+
+
+def _loop_fix_svd_signs(U, SVt=None):
+    U = U.copy()
+    SVt = None if SVt is None else SVt.copy()
+    for k in range(U.shape[1]):
+        col = U[:, k]
+        pivot = col[np.argmax(np.abs(col))]
+        if pivot == 0:
+            continue
+        phase = pivot / abs(pivot)
+        U[:, k] *= np.conj(phase)
+        if SVt is not None:
+            SVt[k, :] *= phase
+    return U if SVt is None else (U, SVt)
+
+
+def _loop_top_left_vectors(M, r):
+    U, _, _ = np.linalg.svd(M, full_matrices=False)
+    return _loop_fix_svd_signs(U[:, : min(r, *M.shape)])
+
+
+def _random(rng, shape, field):
+    X = rng.standard_normal(shape)
+    return X + 1j * rng.standard_normal(shape) if field == "complex" else X
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mode_product_is_tensordot_bit_for_bit(field):
+    rng = np.random.default_rng(7)
+    X = _random(rng, (4, 5, 3, 6), field)
+    for k in range(X.ndim):
+        for J in (1, 2, X.shape[k], 7):
+            A = _random(rng, (J, X.shape[k]), field)
+            expected = np.moveaxis(np.tensordot(X, A, ([k], [1])), -1, k)
+            assert np.array_equal(mode_product(X, A, k), expected), (k, J)
+
+
+def test_fix_svd_signs_is_the_column_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        U, _, _ = np.linalg.svd(_random(rng, (10, 100), "complex"), full_matrices=False)
+        for r in (1, 2, 10):
+            assert np.array_equal(fix_svd_signs(U[:, :r]), _loop_fix_svd_signs(U[:, :r]))
+    U[:, 1] = 0
+    fixed = fix_svd_signs(U)
+    assert np.array_equal(fixed, _loop_fix_svd_signs(U))
+    assert not np.any(fixed[:, 1])  # a zero column has no phase to fix
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_signed_svd_is_the_column_loop_bit_for_bit(field):
+    # the shapes of TT-SVD's flattenings, and the 1 x 1 and one-row edge cases
+    rng = np.random.default_rng(9)
+    for shape in ((10, 100), (100, 10), (20, 10), (1, 5), (5, 1), (1, 1)):
+        for _ in range(10):
+            M = _random(rng, shape, field)
+            U, s, Vt = np.linalg.svd(M, full_matrices=False)
+            U_ref, Vt_ref = _loop_fix_svd_signs(U, Vt)
+            U_new, s_new, Vt_new = signed_svd(M)
+            assert np.array_equal(U_new, U_ref) and np.array_equal(s_new, s), shape
+            assert np.array_equal(Vt_new, Vt_ref), shape
+
+
+@pytest.mark.parametrize("shape", [(3, 10, 100), (3, 1, 1), (2, 1, 4)])
+def test_fix_svd_signs_on_a_stack_is_the_loop_per_matrix(shape):
+    # a stack of 1 x 1 complex bases pins the in-place rounding of one-entry loops
+    M = _random(np.random.default_rng(10), shape, "complex")
+    U, _, Vt = np.linalg.svd(M, full_matrices=False)
+    U_new, Vt_new = fix_svd_signs(U, Vt)
+    for i in range(shape[0]):
+        U_ref, Vt_ref = _loop_fix_svd_signs(U[i], Vt[i])
+        assert np.array_equal(U_new[i], U_ref) and np.array_equal(Vt_new[i], Vt_ref), i
+
+
+@pytest.mark.parametrize("shape", [(10, 10, 10), (4, 5, 3, 6)])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_hosvd_truncate_is_one_svd_per_mode_bit_for_bit(shape, field):
+    rng = np.random.default_rng(11)
+    X = _random(rng, shape, field)
+    ranks = (2, 1, 3, 2)[: len(shape)]  # unequal ranks within one group of equal unfoldings
+    D = hosvd_truncate(X, ranks)
+    core = X
+    for k, (U, r) in enumerate(zip(D.factors, ranks)):
+        M = matricize(X, (k,))
+        assert np.array_equal(U, _loop_top_left_vectors(M, r)), k
+        assert np.array_equal(U, top_left_bases([M], [r])[0]), k
+        core = np.moveaxis(np.tensordot(core, U.conj().T, ([k], [1])), -1, k)
+    assert np.array_equal(D.core, core)

@@ -26,7 +26,7 @@ def test_apply_zero_tensor():
 
 def test_identity_matrix_ensemble_is_vec():
     shape = (2, 3, 2)
-    A = GaussianEnsemble.from_matrix(np.eye(12), shape)
+    A = GaussianEnsemble(np.eye(12), shape)
     rng = np.random.default_rng(1)
     X = rng.standard_normal(shape)
     assert np.array_equal(A.apply(X), vec(X))

@@ -20,7 +20,7 @@ SHAPE = (10, 10, 10)
 
 def _identity_ensemble(shape=(4, 4, 4)):
     N = int(np.prod(shape))
-    return GaussianEnsemble.from_matrix(np.eye(N), shape)
+    return GaussianEnsemble(np.eye(N), shape)
 
 
 def test_identity_ensemble_one_step_recovery():
@@ -61,7 +61,7 @@ def test_ntiht_mu_scales_inverse_quadratically():
     rng = np.random.default_rng(4)
     shape = (4, 4, 4)
     base = draw("gaussian", shape, 20, seed=5)
-    scaled = GaussianEnsemble.from_matrix(3.0 * base.matrix, shape)
+    scaled = GaussianEnsemble(3.0 * base.matrix, shape)
     X0 = generate_test_tensor(shape, (1, 1, 1), seed=6)
     X_j = generate_test_tensor(shape, (1, 1, 1), seed=7)
     proj = build_Mj("hosvd", X_j, (1, 1, 1))
@@ -151,7 +151,7 @@ def test_exact_recovery_well_conditioned_full_measurements():
     # within ~0.1 of the identity and mu = 1 contracts
     conditioned = np.eye(N) + 0.002 * rng.standard_normal((N, N))
     for M in (Q, conditioned):
-        A = GaussianEnsemble.from_matrix(M, shape)
+        A = GaussianEnsemble(M, shape)
         X0 = generate_test_tensor(shape, (2, 2, 2), seed=13)
         y = A.apply(X0)
         for variant in ("ctiht", "ntiht"):
@@ -248,7 +248,7 @@ def test_fourier_recovery_complex_path():
 def test_divergence_recorded_not_raised():
     # A = 2I makes the CTIHT error map e -> -3e, a clean geometric blow-up
     shape = (3, 3, 3)
-    A = GaussianEnsemble.from_matrix(2.0 * np.eye(27), shape)
+    A = GaussianEnsemble(2.0 * np.eye(27), shape)
     X0 = generate_test_tensor(shape, (1, 1, 1), seed=27)
     res = tiht_run(
         A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht"),
@@ -301,7 +301,7 @@ def test_stop_reason_names_each_ending():
     res = tiht_run(A, A.apply(X0), SolverConfig(rank=(2, 2, 2), variant="ctiht"))
     assert res.stop_reason == "converged"
 
-    A = GaussianEnsemble.from_matrix(2.0 * np.eye(27), (3, 3, 3))
+    A = GaussianEnsemble(2.0 * np.eye(27), (3, 3, 3))
     X0 = generate_test_tensor((3, 3, 3), (1, 1, 1), seed=27)
     res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht"))
     assert res.stop_reason == "diverged"
@@ -386,7 +386,7 @@ def test_ntiht_reuses_the_safeguard_measurement_of_the_iterate():
     base = draw("gaussian", SHAPE, 200, seed=15)
     y = base.apply(X0)
     for variant in ("ntiht", "ctiht"):
-        A = _CountingGaussian.from_matrix(base.matrix, SHAPE)
+        A = _CountingGaussian(base.matrix, SHAPE)
         res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1), variant=variant), X_ref=X0, success_threshold=1e-3)
         assert res.success and not any(s.retries for s in res.trace)
         # NTIHT: A(X^0), then per iteration the step-size denominator and the
