@@ -219,7 +219,7 @@ def contraction_factor(variant: str, a: float, delta3r: float, opnorm: float) ->
     )
 
 
-def storage_count(fmt: str, d: int, n: int, r: int, tree=None) -> int:
+def storage_count(fmt: str, d: int, n: int, r: int) -> int:
     """Exact parameter count of a rank-r representation at uniform n and r.
 
     HOSVD: r^d + d n r.  TT: sum r_{k-1} n r_k with boundary ranks pinned to
@@ -236,5 +236,4 @@ def storage_count(fmt: str, d: int, n: int, r: int, tree=None) -> int:
         return sum(ranks[k] * n * ranks[k + 1] for k in range(d))
     if d < 2:
         raise ValueError("HT format needs order >= 2")
-    interior = (d - 1) if tree is None else len(tree.interior())
-    return interior * r**3 + d * n * r
+    return (d - 1) * r**3 + d * n * r

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -237,14 +238,7 @@ def _cmd_bounds(args) -> int:
     }
     if args.a is not None:
         consts = analysis.convergence_constants(args.variant, args.a, args.delta3r, args.opnorm)
-        payload["convergence"] = {
-            "variant": consts.variant,
-            "a": consts.a,
-            "delta_of_a": consts.delta_of_a,
-            "eps_of_a": consts.eps_of_a,
-            "b_of_a": consts.b_of_a,
-            "error_horizon": consts.error_horizon,
-        }
+        payload["convergence"] = asdict(consts)
     _emit(payload, args.out)
     return 0
 

@@ -26,8 +26,8 @@ from .formats import (
     TTDecomposition,
     clamp_ranks,
     default_tree,
-    normalize_ht_ranks,
 )
+from .formats.family import node_of
 from .measurements import draw
 from .solvers import SolverConfig, tiht_run
 from .tensors import check_shape
@@ -107,7 +107,8 @@ def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None 
         return TTDecomposition((cores[0][0], *cores[1:-1], cores[-1][..., 0])).reconstruct()
     if fmt == "ht":
         tree = default_tree(tree, d)
-        ranks = normalize_ht_ranks(tree, rank, dims)
+        sets, clamped = clamp_ranks("ht", rank, dims, tree)
+        ranks = {tree.root: 1, **dict(zip(map(node_of, sets), clamped))}
         rng = np.random.default_rng(rng)
         frames, transfers = {}, {}
 
@@ -302,8 +303,6 @@ _COLUMNS = {
 
 
 def _rank_label(rank) -> str:
-    if isinstance(rank, dict):
-        return ";".join(f"{lo}-{hi}:{r}" for (lo, hi), r in sorted(rank.items()))
     if isinstance(rank, (tuple, list)):
         return ",".join(str(int(v)) for v in rank)
     return str(int(rank))

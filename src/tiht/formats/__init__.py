@@ -23,7 +23,7 @@ from .family import (
     probe_ranks,
 )
 from .hosvd import HosvdDecomposition, hosvd_rank, hosvd_truncate
-from .ht import HTDecomposition, ht_rank, ht_truncate, normalize_ht_ranks
+from .ht import HTDecomposition, ht_rank, ht_truncate
 from .tt import TTDecomposition, tt_rank, tt_truncate
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "tt_rank",
     "ht_truncate",
     "ht_rank",
-    "normalize_ht_ranks",
     "truncate",
 ]
 

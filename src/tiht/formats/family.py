@@ -90,21 +90,6 @@ class DimensionTree:
     def modes(self, node: Node) -> tuple[int, ...]:
         return tuple(range(node[0], node[1]))
 
-    def leaves(self) -> list[Node]:
-        return [(i, i + 1) for i in range(self.order)]
-
-    def interior(self) -> list[Node]:
-        return sorted(self._children, key=lambda n: (self._level[n], n))
-
-    def interior_bottom_up(self, include_root: bool = False) -> list[Node]:
-        """Interior nodes ordered deepest level first; root last when included."""
-        nodes = sorted(
-            self._children, key=lambda n: (-self._level[n], n)
-        )
-        if not include_root:
-            nodes = [n for n in nodes if n != self.root]
-        return nodes
-
     def nodes(self) -> list[Node]:
         return sorted(self._level, key=lambda n: (self._level[n], n))
 
@@ -173,23 +158,21 @@ def mode_sets(fmt: str, order: int, tree: DimensionTree | None = None) -> list[t
 def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
     """The format's mode sets and the requested ranks, validated and clamped.
 
-    HOSVD and TT ranks are sequences with one rank per mode set; HT ranks are
-    a single int for every node or a mapping from tree node (lo, hi) to rank.
-    Each rank must be >= 1 and is clamped to min(r, n_S, N / n_S), the row
-    and column dimensions of its matricization; a TT rank is also clamped, left
-    to right, to r_{k-1} n_k, the most TT-SVD can attain after the previous
-    prefix.  Returns ``(sets, ranks)``.
+    HOSVD and TT ranks are sequences with one rank per mode set; an HT rank
+    is one int for every node.  Each rank must be >= 1 and is clamped to
+    min(r, n_S, N / n_S), the row and column dimensions of its matricization;
+    a TT rank is also clamped, left to right, to r_{k-1} n_k, the most TT-SVD
+    can attain after the previous prefix.  A uniform HT rank needs no such
+    cap: a node's sons and the nodes beside it always span at least its
+    clamped rank, so these are the ranks ``ht_truncate`` attains.  Returns
+    ``(sets, ranks)``.
     """
     dims = check_shape(shape)
     sets = mode_sets(fmt, len(dims), tree)
     if fmt == "ht":
-        if isinstance(ranks, dict):
-            missing = [node_of(S) for S in sets if node_of(S) not in ranks]
-            if missing:
-                raise ValueError(f"no rank given for tree node {missing[0]}")
-            ranks = [ranks[node_of(S)] for S in sets]
-        else:
-            ranks = [ranks] * len(sets)
+        if not isinstance(ranks, (int, np.integer)):
+            raise ValueError(f"an HT rank is one int for every tree node, got {ranks!r}")
+        ranks = [ranks] * len(sets)
     r = tuple(int(v) for v in ranks)
     if len(r) != len(sets):
         raise ValueError(f"{fmt} rank {r} must have length {len(sets)} for order {len(dims)}")

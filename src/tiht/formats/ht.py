@@ -16,7 +16,7 @@ from ..tensors import as_tensor, matricize, tensorize, unvec
 from .family import DimensionTree, Node, clamp_ranks, mode_sets, node_of, probe_ranks
 from .hosvd import hosvd_truncate
 
-__all__ = ["HTDecomposition", "ht_truncate", "ht_rank", "normalize_ht_ranks"]
+__all__ = ["HTDecomposition", "ht_truncate", "ht_rank"]
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,6 @@ class HTDecomposition:
     transfers: dict[Node, np.ndarray]
     frames: dict[int, np.ndarray]
     shape: tuple[int, ...]
-
-    def rank(self, node: Node) -> int:
-        if self.tree.is_leaf(node):
-            return self.frames[node[0]].shape[1]
-        return self.transfers[node].shape[0]
 
     def _node_frame(self, node: Node, known: dict[Node, np.ndarray]) -> np.ndarray:
         """``kron(U_t2, U_t1) @ matricize(B_t, (1, 2))``; frames are computed once into ``known``."""
@@ -65,40 +60,32 @@ class HTDecomposition:
         return [(S, self._node_frame(node_of(S), known)) for S in sets]
 
 
-def normalize_ht_ranks(tree: DimensionTree, ranks, shape) -> dict[Node, int]:
-    """Expand an int or node-keyed mapping into per-node ranks.
-
-    Ranks are clamped to the matricization dimensions; the root is always 1.
-    """
-    sets, r = clamp_ranks("ht", ranks, shape, tree)
-    return {tree.root: 1, **{node_of(S): v for S, v in zip(sets, r)}}
-
-
 def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
     """Leaves-to-root truncation via successive SVDs of the shrinking core.
 
     Leaf frames come from the mode-k unfoldings of X; every interior node then
     truncates the current reduced core's matricization that groups its two
-    sons.  The error is within (2 + sqrt(2)) * sqrt(d) of the best rank-r
-    approximation error.
+    sons, in ``mode_sets`` order, sons before fathers.  The error is within
+    (2 + sqrt(2)) * sqrt(d) of the best rank-r approximation error.
     """
     X = as_tensor(X)
     dims = X.shape
-    r = normalize_ht_ranks(tree, ranks, dims)
+    sets, clamped = clamp_ranks("ht", ranks, dims, tree)
+    r = dict(zip(map(node_of, sets), clamped))
 
-    leaves = hosvd_truncate(X, [r[leaf] for leaf in tree.leaves()])
+    leaves = hosvd_truncate(X, [r[k, k + 1] for k in range(X.ndim)])
     frames = dict(enumerate(leaves.factors))
     C = leaves.core
 
     active: list[Node] = [(i, i + 1) for i in range(X.ndim)]
     transfers: dict[Node, np.ndarray] = {}
-    for node in tree.interior_bottom_up(include_root=False):
+    for node in (node_of(S) for S in sets if len(S) > 1):
         s1, s2 = tree.children(node)
         p = active.index(s1)
         r1, r2 = C.shape[p], C.shape[p + 1]
         M = matricize(C, (p, p + 1))
-        rt = min(r[node], min(M.shape))
-        W = top_left_bases([M], [rt])[0]
+        W = top_left_bases([M], [r[node]])[0]
+        rt = W.shape[1]
         transfers[node] = W.reshape(r1, r2, rt, order="F").transpose(2, 0, 1)
         new_shape = C.shape[:p] + (rt,) + C.shape[p + 2 :]
         C = tensorize(W.conj().T @ M, (p,), new_shape)

@@ -59,22 +59,10 @@ def common_field(X: np.ndarray, Y: np.ndarray) -> str:
     return fx
 
 
-def as_tensor(data, field: str | None = None) -> np.ndarray:
-    """Coerce ``data`` to a dense tensor in the requested scalar field.
-
-    ``field`` is "real", "complex" or None (keep the field of ``data``).
-    """
+def as_tensor(data) -> np.ndarray:
+    """Coerce ``data`` to a dense tensor: complex128 if it is complex, float64 otherwise."""
     X = np.asarray(data)
-    if field is None:
-        field = field_of(X)
-    if field == "real":
-        if np.iscomplexobj(X):
-            raise ValueError("complex data cannot be coerced to the real field")
-        X = np.asarray(X, dtype=_REAL_DTYPE)
-    elif field == "complex":
-        X = np.asarray(X, dtype=_COMPLEX_DTYPE)
-    else:
-        raise ValueError(f"unknown field {field!r}")
+    X = np.asarray(X, dtype=_COMPLEX_DTYPE if np.iscomplexobj(X) else _REAL_DTYPE)
     check_shape(X.shape)
     return X
 

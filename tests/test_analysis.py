@@ -184,7 +184,5 @@ def test_storage_counts():
     assert storage_count("hosvd", 3, 10, 2) == 2**3 + 60
     assert storage_count("tt", 3, 10, 2) == 80
     assert storage_count("ht", 4, 10, 2) == 3 * 8 + 4 * 20
-    tree = DimensionTree.balanced(4)
-    assert storage_count("ht", 4, 10, 2, tree=tree) == 104
     with pytest.raises(ValueError):
         storage_count("cp", 3, 10, 1)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from tiht.experiments import random_rank_r_tensor
-from tiht.formats import (
-    DimensionTree,
-    ht_rank,
-    ht_truncate,
-    normalize_ht_ranks,
-)
+from tiht.formats import DimensionTree, clamp_ranks, ht_rank, ht_truncate
 from tiht.tensors import frobenius_norm
 
 
@@ -17,8 +12,6 @@ def test_balanced_tree_structure():
     tree = DimensionTree.balanced(4)
     assert tree.root == (0, 4)
     assert tree.children((0, 4)) == ((0, 2), (2, 4))
-    assert tree.leaves() == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert set(tree.interior()) == {(0, 4), (0, 2), (2, 4)}
     tree5 = DimensionTree.balanced(5)
     assert tree5.children((0, 5)) == ((0, 3), (3, 5))
     assert tree5.children((0, 3)) == ((0, 2), (2, 3))
@@ -40,14 +33,6 @@ def test_tree_nested_roundtrip_and_validation():
         DimensionTree((0, (2, 3)))  # gap between sons
     with pytest.raises(ValueError):
         DimensionTree((0, 1, 2))  # not binary
-
-
-def test_interior_bottom_up_orders_sons_first():
-    tree = DimensionTree.balanced(4)
-    order = tree.interior_bottom_up(include_root=True)
-    assert order.index((0, 2)) < order.index((0, 4))
-    assert order.index((2, 4)) < order.index((0, 4))
-    assert order[-1] == (0, 4)
 
 
 def test_exact_rank_roundtrip():
@@ -113,20 +98,40 @@ def test_error_contractive_in_rank():
             assert bigger <= smaller + 1e-12
 
 
-def test_rank_map_input_and_clamping():
+def test_rank_clamping_and_tree_order():
     tree = DimensionTree.balanced(3)
-    ranks = {node: 2 for node in tree.nodes()}
     rng = np.random.default_rng(57)
     X = rng.standard_normal((4, 4, 4))
-    D = ht_truncate(X, tree, ranks)
-    assert D.rank(tree.root) == 1
-    norm = normalize_ht_ranks(tree, 99, (4, 4, 4))
-    assert norm[(0, 1)] == 4  # clamped to leaf dimension
-    assert norm[(0, 2)] == 4  # clamped to complement size 16 -> min(16, 99, 16)=16? no: 4*4=16 rows, 4 cols
-    with pytest.raises(ValueError):
-        normalize_ht_ranks(tree, {}, (4, 4, 4))
+    sets, ranks = clamp_ranks("ht", 99, (4, 4, 4), tree)
+    clamped = dict(zip(sets, ranks))
+    assert clamped[(0,)] == 4  # the leaf dimension
+    assert clamped[(0, 1)] == 4  # 16 rows but 4 columns
+    D = ht_truncate(X, tree, 99)
+    assert D.transfers[tree.root].shape[0] == 1
     with pytest.raises(ValueError):
         ht_truncate(X, DimensionTree.balanced(4), 2)
+
+
+def _clamp_cases():
+    shapes = [(2, 3, 4), (5, 1, 3), (2, 3, 4, 2), (4, 2, 2, 3), (2, 3, 2, 4, 2), (3, 2, 1, 2, 3)]
+    for shape in shapes:
+        for name in ("balanced", "degenerate"):
+            for field in ("real", "complex"):
+                yield pytest.param(shape, name, field, id=f"{'x'.join(map(str, shape))}-{name}-{field}")
+
+
+@pytest.mark.parametrize("shape, name, field", list(_clamp_cases()))
+def test_clamped_ranks_are_the_truncation_ranks(shape, name, field):
+    # clamp_ranks is ht_truncate's only rank clamp, so for every int rank the
+    # node frames must come out exactly as wide as the clamp says
+    tree = getattr(DimensionTree, name)(len(shape))
+    rng = np.random.default_rng([58, len(shape), sum(shape)])
+    X = rng.standard_normal(shape)
+    if field == "complex":
+        X = X + 1j * rng.standard_normal(shape)
+    for r in range(1, 10):
+        widths = tuple(U.shape[1] for _, U in ht_truncate(X, tree, r).blocks())
+        assert clamp_ranks("ht", r, shape, tree)[1] == widths, r
 
 
 def test_ht_rank_probe_on_structured_tensor():

@@ -24,12 +24,6 @@ def test_check_shape_rejects_bad_extents():
 def test_as_tensor_field_rules():
     X = as_tensor([[1, 2], [3, 4]])
     assert X.dtype == np.float64
-    Z = as_tensor(X, field="complex")
-    assert Z.dtype == np.complex128
-    with pytest.raises(ValueError):
-        as_tensor(np.array([1j, 2j]), field="real")
-    with pytest.raises(ValueError):
-        as_tensor([1.0], field="rational")
 
 
 def test_matricize_shape_arithmetic():

@@ -9,8 +9,11 @@ seed 2016 of each sweep cell, with the cell's iteration cap, and every
 ``RECOVER_COMBOS`` instance at seed 201600 with the CLI's seed streams and
 cap 100.  Per run it saves ``mus``, ``residuals``, ``step_norms``,
 ``eps_ratios``, per-iteration ``retries``, ``stop_reason`` and the final
-tensor.  ``compare`` prints how many arrays are identical and the worst
-relative difference, and exits 1 unless all of them are.
+tensor.  Off that balanced 10x10x10 HT path it saves HT draws and
+``ht_truncate``'s ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
+real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
+``degenerate(4)`` and ``balanced(3)``.  ``compare`` prints how many arrays are
+identical and the worst relative difference, and exits 1 unless all are.
 """
 
 import sys
@@ -47,8 +50,26 @@ def dump(src: Path, out: str) -> None:
         A = tiht.measurements.draw(inst.ensemble, w.SHAPE, m, [inst.seed, 1])
         config = tiht.solvers.SolverConfig(rank=inst.solver_rank, format=inst.fmt, max_iters=w.RECOVER_CAP)
         record(inst.label, A, X0, config, w.THRESHOLDS[inst.ensemble])
+    arrays |= ht_arrays(tiht)
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
+
+
+def ht_arrays(tiht) -> dict:
+    DT, rng, arrays = tiht.formats.DimensionTree, np.random.default_rng(2016), {}
+    cases = (("balanced", 5, (2, 3, 4, 3, 2)), ("degenerate", 4, (3, 5, 2, 4)), ("balanced", 3, (4, 2, 5)))
+    for name, order, shape in cases:
+        tree = getattr(DT, name)(order)
+        for r in (1, 2, 3):
+            label = f"ht/{name}{order}/rank{r}"
+            arrays[f"{label}/draw"] = tiht.experiments.random_rank_r_tensor(shape, "ht", r, [2016, r], tree)
+            for field in ("real", "complex"):
+                X = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
+                D = tiht.formats.ht_truncate(X, tree, r)
+                arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
+                for S, U in D.blocks():
+                    arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
+    return arrays
 
 
 def compare(a_path: str, b_path: str) -> int:
