@@ -23,12 +23,9 @@ from .formats import (
     HosvdDecomposition,
     HTDecomposition,
     TTDecomposition,
-    hosvd_rank,
     hosvd_truncate,
-    ht_rank,
     ht_truncate,
     truncate,
-    tt_rank,
     tt_truncate,
 )
 from .measurements import (

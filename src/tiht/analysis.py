@@ -97,6 +97,13 @@ def _check_formula_args(fmt, d, n, r):
         raise ValueError("d, n, r must be positive")
 
 
+def _dof(fmt: str, d: int, n: int, r: int) -> int:
+    """Degrees of freedom at uniform n and r: r^d + d n r for HOSVD, (d-1) r^3 + d n r for TT and HT."""
+    if fmt == "hosvd":
+        return r**d + d * n * r
+    return (d - 1) * r**3 + d * n * r
+
+
 def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob: float) -> SampleComplexityBound:
     """Subgaussian sample bound: delta^-2 max(dof-term, log(1/fail_prob)).
 
@@ -106,10 +113,7 @@ def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob:
     _check_formula_args(fmt, d, n, r)
     if not 0 < delta < 1 or not 0 < fail_prob < 1:
         raise ValueError("delta and fail_prob must lie in (0, 1)")
-    if fmt == "hosvd":
-        dof = (r**d + d * n * r) * math.log(d)
-    else:
-        dof = ((d - 1) * r**3 + d * n * r) * math.log(d * r)
+    dof = _dof(fmt, d, n, r) * math.log(d if fmt == "hosvd" else d * r)
     bound = delta**-2 * max(dof, math.log(1.0 / fail_prob))
     return SampleComplexityBound(bound=bound, dof_term=dof)
 
@@ -129,7 +133,7 @@ def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, et
     log2 = math.log(float(n) ** d) ** 2
     base = (1.0 / delta) * (1.0 + eta) * log2
     if fmt == "hosvd":
-        f = (r**d + d * n * r) * math.log(d)
+        f = _dof(fmt, d, n, r) * math.log(d)
     else:
         f = (d * r**3 + d * n * r) * math.log(d * r)
     return base * max(base, f)
@@ -146,12 +150,10 @@ def covering_bound(fmt: str, d: int, n: int, r: int, eps: float) -> float:
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     if fmt == "hosvd":
-        exponent = r**d + d * n * r
         base = 3.0 * (d + 1) / eps
     else:
-        exponent = (d - 1) * r**3 + d * n * r
         base = 3.0 * (2 * d - 1) * math.sqrt(r) / eps
-    return exponent * math.log(base)
+    return _dof(fmt, d, n, r) * math.log(base)
 
 
 @dataclass(frozen=True)
@@ -227,13 +229,9 @@ def storage_count(fmt: str, d: int, n: int, r: int) -> int:
     for any binary tree over d modes) plus the d leaf frames.
     """
     _check_formula_args(fmt, d, n, r)
-    if fmt == "hosvd":
-        return r**d + d * n * r
+    if fmt != "hosvd" and d < 2:
+        raise ValueError(f"{fmt.upper()} format needs order >= 2")
     if fmt == "tt":
-        if d < 2:
-            raise ValueError("TT format needs order >= 2")
         ranks = [1] + [r] * (d - 1) + [1]
         return sum(ranks[k] * n * ranks[k + 1] for k in range(d))
-    if d < 2:
-        raise ValueError("HT format needs order >= 2")
-    return (d - 1) * r**3 + d * n * r
+    return _dof(fmt, d, n, r)

@@ -12,8 +12,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import analysis, experiments, measurements, solvers
 from .formats import FORMATS
 
@@ -135,8 +133,7 @@ def _cmd_recover(args) -> int:
         raise ValueError("recover needs exactly one of --nbar / --m")
     threshold = experiments.success_threshold(args.ensemble, args.threshold)
     shape = args.shape
-    N = int(np.prod(shape))
-    m = args.m if args.m is not None else -(-N * args.nbar // 100)
+    m = args.m if args.m is not None else experiments.measurement_count(shape, args.nbar)
     rank = _solver_rank(args)
     X0 = experiments.random_rank_r_tensor(shape, args.format, rank, [args.seed, 0])
     A = measurements.draw(args.ensemble, shape, m, [args.seed, 1])

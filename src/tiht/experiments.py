@@ -27,7 +27,6 @@ from .formats import (
     clamp_ranks,
     default_tree,
 )
-from .formats.family import node_of
 from .measurements import draw
 from .solvers import SolverConfig, tiht_run
 from .tensors import check_shape
@@ -40,6 +39,7 @@ __all__ = [
     "generate_test_tensor",
     "random_rank_r_tensor",
     "success_threshold",
+    "measurement_count",
     "measurements_for",
     "run_single_trial",
     "run_phase_diagram",
@@ -67,6 +67,11 @@ def _generator_rank(dims: tuple[int, ...], rank) -> tuple[int, ...]:
     if any(not 1 <= v <= n for v, n in zip(r, dims)):
         raise ValueError(f"ranks {r} must lie in [1, n_k] for shape {dims}")
     return r
+
+
+def measurement_count(shape, nbar: int) -> int:
+    """m = ceil(N * nbar / 100) for a tensor of ``shape``, in exact integer arithmetic."""
+    return -(-math.prod(shape) * nbar // 100)
 
 
 def generate_test_tensor(shape, rank, seed) -> np.ndarray:
@@ -107,22 +112,18 @@ def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None 
         return TTDecomposition((cores[0][0], *cores[1:-1], cores[-1][..., 0])).reconstruct()
     if fmt == "ht":
         tree = default_tree(tree, d)
-        sets, clamped = clamp_ranks("ht", rank, dims, tree)
-        ranks = {tree.root: 1, **dict(zip(map(node_of, sets), clamped))}
+        ranks = {tree.root: 1, **dict(zip(*clamp_ranks("ht", rank, dims, tree)))}
         rng = np.random.default_rng(rng)
         frames, transfers = {}, {}
-
-        def draw_node(node):  # depth first, left son first: the order that fixes every seeded X0
-            if tree.is_leaf(node):
-                frames[node[0]], _ = np.linalg.qr(rng.standard_normal((dims[node[0]], ranks[node])))
-                return
-            s1, s2 = tree.children(node)
-            draw_node(s1)
-            draw_node(s2)
-            r = (ranks[node], ranks[s1], ranks[s2])
-            transfers[node] = rng.standard_normal((r[0], r[1] * r[2])).reshape(r, order="F")
-
-        draw_node(tree.root)
+        # by last mode, then size: left subtree, right subtree, node, the
+        # depth-first order that fixes every seeded X0
+        for t in sorted(ranks, key=lambda t: (t[-1], len(t))):
+            if len(t) == 1:
+                frames[t[0]], _ = np.linalg.qr(rng.standard_normal((dims[t[0]], ranks[t])))
+            else:
+                s1, s2 = tree.children[t]
+                r = (ranks[t], ranks[s1], ranks[s2])
+                transfers[t] = rng.standard_normal((r[0], r[1] * r[2])).reshape(r, order="F")
         return HTDecomposition(tree, transfers, frames, dims).reconstruct()
     raise ValueError(f"unknown tensor format {fmt!r}")
 
@@ -170,12 +171,8 @@ class ExperimentSpec:
             conv_tol=self.conv_tol,
         )
 
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
     def m_of(self, nbar: int) -> int:
-        return math.ceil(self.size * nbar / 100)
+        return measurement_count(self.shape, nbar)
 
 
 @dataclass

@@ -3,10 +3,10 @@
 A format is a family of matricizations: its rank is the tuple of ranks of
 the unfoldings that put single modes (HOSVD), mode prefixes (TT) or the
 nodes of a dimension tree (HT) in the rows.  :mod:`.family` holds those mode
-sets with the rank clamp and the rank probe all three share.  Each format
-exposes a ``*_truncate`` operator computing a quasi-best rank-r
-approximation by successive SVDs over its family, a rank probe, and a
-decomposition record that reconstructs back to a dense tensor.
+sets with the rank clamp and the one rank probe all three share.  Each
+format exposes a ``*_truncate`` operator computing a quasi-best rank-r
+approximation by successive SVDs over its family and a decomposition record
+that reconstructs back to a dense tensor.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .family import (
     mode_sets,
     probe_ranks,
 )
-from .hosvd import HosvdDecomposition, hosvd_rank, hosvd_truncate
-from .ht import HTDecomposition, ht_rank, ht_truncate
-from .tt import TTDecomposition, tt_rank, tt_truncate
+from .hosvd import HosvdDecomposition, hosvd_truncate
+from .ht import HTDecomposition, ht_truncate
+from .tt import TTDecomposition, tt_truncate
 
 __all__ = [
     "FORMATS",
@@ -38,11 +38,8 @@ __all__ = [
     "DimensionTree",
     "HTDecomposition",
     "hosvd_truncate",
-    "hosvd_rank",
     "tt_truncate",
-    "tt_rank",
     "ht_truncate",
-    "ht_rank",
     "truncate",
 ]
 

@@ -3,8 +3,8 @@
 Each unfolding is named by its row modes: single modes for HOSVD, mode
 prefixes for TT, the non-root nodes of a dimension tree for HT.  A dimension
 tree is a binary tree over the modes whose left son precedes its right son,
-so every node is a contiguous interval of modes, written as the half-open
-0-based pair ``(lo, hi)``.
+so every node is a run of consecutive modes; a node is that tuple of modes,
+and ``(0, 1)`` is both the node and the row modes of its matricization.
 """
 
 from __future__ import annotations
@@ -17,31 +17,48 @@ from ..tensors import as_tensor, check_shape, matricize
 
 FORMATS = ("hosvd", "tt", "ht")
 
-Node = tuple[int, int]
-
 
 class DegenerateTensorError(ValueError):
     """Raised when an operation needs a nonzero tensor and got the zero tensor."""
 
 
 class DimensionTree:
-    """Binary tree over modes 0..d-1; nodes are contiguous intervals (lo, hi)."""
+    """Binary tree over modes 0..d-1 given as nested (left, right) pairs of modes.
+
+    ``children`` maps every interior node to its (left, right) sons, and
+    ``sets`` lists the non-root nodes deepest level first, then by modes:
+    sons before fathers, the order every HT walk follows.
+    """
 
     def __init__(self, nested):
-        root, children = _parse_nested(nested)
-        if root[0] != 0:
+        self.nested = nested
+        self.children: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        level: dict[tuple[int, ...], int] = {}
+
+        def parse(sub, depth):
+            if isinstance(sub, int):
+                if sub < 0:
+                    raise ValueError("mode indices must be nonnegative")
+                node = (sub,)
+            else:
+                try:
+                    left, right = sub
+                except (TypeError, ValueError):
+                    raise ValueError(f"malformed tree node {sub!r}: expected int or pair")
+                s1, s2 = parse(left, depth + 1), parse(right, depth + 1)
+                if s1[-1] + 1 != s2[0]:
+                    raise ValueError(f"sons {s1} and {s2} must partition a contiguous interval, left first")
+                node = s1 + s2
+                self.children[node] = (s1, s2)
+            level[node] = depth
+            return node
+
+        self.root = parse(nested, 0)
+        if self.root[0] != 0:
             raise ValueError("tree must cover modes starting at 0")
-        self.order: int = root[1]
-        self.root: Node = root
-        self._children: dict[Node, tuple[Node, Node]] = children
-        self._level: dict[Node, int] = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node in self._children:
-                for son in self._children[node]:
-                    self._level[son] = self._level[node] + 1
-                    stack.append(son)
+        self.order = len(self.root)
+        del level[self.root]
+        self.sets = sorted(level, key=lambda t: (-level[t], t))
 
     @classmethod
     def balanced(cls, order: int) -> "DimensionTree":
@@ -70,66 +87,16 @@ class DimensionTree:
 
         return cls(chain(0))
 
-    def to_nested(self):
-        """Nested (left, right) tuples with leaves as mode integers."""
-
-        def walk(node):
-            if self.is_leaf(node):
-                return node[0]
-            a, b = self._children[node]
-            return (walk(a), walk(b))
-
-        return walk(self.root)
-
-    def is_leaf(self, node: Node) -> bool:
-        return node[1] - node[0] == 1
-
-    def children(self, node: Node) -> tuple[Node, Node]:
-        return self._children[node]
-
-    def modes(self, node: Node) -> tuple[int, ...]:
-        return tuple(range(node[0], node[1]))
-
-    def nodes(self) -> list[Node]:
-        return sorted(self._level, key=lambda n: (self._level[n], n))
-
-    def level(self, node: Node) -> int:
-        return self._level[node]
-
     def __eq__(self, other):
-        return isinstance(other, DimensionTree) and self.to_nested() == other.to_nested()
+        return isinstance(other, DimensionTree) and self.children == other.children
 
     def __repr__(self):
-        return f"DimensionTree({self.to_nested()!r})"
-
-
-def _parse_nested(nested):
-    if isinstance(nested, int):
-        if nested < 0:
-            raise ValueError("mode indices must be nonnegative")
-        return (nested, nested + 1), {}
-    try:
-        left, right = nested
-    except (TypeError, ValueError):
-        raise ValueError(f"malformed tree node {nested!r}: expected int or pair")
-    lspan, lch = _parse_nested(left)
-    rspan, rch = _parse_nested(right)
-    if lspan[1] != rspan[0]:
-        raise ValueError(
-            f"sons {lspan} and {rspan} must partition a contiguous interval, left first"
-        )
-    children = {**lch, **rch, (lspan[0], rspan[1]): (lspan, rspan)}
-    return (lspan[0], rspan[1]), children
+        return f"DimensionTree({self.nested!r})"
 
 
 def default_tree(tree: DimensionTree | None, order: int) -> DimensionTree:
     """``tree`` itself, or the balanced tree over ``order`` modes when it is None."""
     return DimensionTree.balanced(order) if tree is None else tree
-
-
-def node_of(modes: tuple[int, ...]) -> Node:
-    """The dimension-tree node (lo, hi) of a contiguous mode set."""
-    return (modes[0], modes[-1] + 1)
 
 
 def mode_sets(fmt: str, order: int, tree: DimensionTree | None = None) -> list[tuple[int, ...]]:
@@ -149,9 +116,7 @@ def mode_sets(fmt: str, order: int, tree: DimensionTree | None = None) -> list[t
         tree = default_tree(tree, order)
         if tree.order != order:
             raise ValueError(f"tree of order {tree.order} does not match tensor order {order}")
-        # the root has the only level 0, so it sorts last and is dropped
-        nodes = sorted(tree.nodes(), key=lambda n: (-tree.level(n), n))[:-1]
-        return [tree.modes(n) for n in nodes]
+        return list(tree.sets)
     raise ValueError(f"unknown tensor format {fmt!r}")
 
 
@@ -187,12 +152,15 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
     return sets, tuple(r)
 
 
-def probe_ranks(X, sets) -> tuple[int, ...]:
-    """Numerical rank of the matricization of X for every mode set.
+def probe_ranks(X, fmt: str, tree: DimensionTree | None = None) -> tuple[int, ...]:
+    """Numerical rank of the matricization of X for every mode set of the format.
 
-    Raises :class:`DegenerateTensorError` for the zero tensor.
+    The ranks follow ``mode_sets(fmt, X.ndim, tree)``; an HT probe therefore
+    has no entry for the root.  Raises :class:`DegenerateTensorError` for the
+    zero tensor.
     """
     X = as_tensor(X)
+    sets = mode_sets(fmt, X.ndim, tree)
     if not np.any(X):
         raise DegenerateTensorError("rank of the zero tensor is undefined")
     ranks = []

@@ -14,9 +14,9 @@ import numpy as np
 
 from .._linalg import top_left_bases
 from ..tensors import as_tensor, matricize, mode_product
-from .family import clamp_ranks, mode_sets, probe_ranks
+from .family import clamp_ranks
 
-__all__ = ["HosvdDecomposition", "hosvd_truncate", "hosvd_rank"]
+__all__ = ["HosvdDecomposition", "hosvd_truncate"]
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,3 @@ def hosvd_truncate(X, ranks) -> HosvdDecomposition:
     for k, U in enumerate(factors):
         core = mode_product(core, U.conj().T, k)
     return HosvdDecomposition(core=core, factors=factors)
-
-
-def hosvd_rank(X) -> tuple[int, ...]:
-    """Numerical ranks of all mode-k unfoldings."""
-    return probe_ranks(X, mode_sets("hosvd", np.ndim(X)))

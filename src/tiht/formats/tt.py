@@ -14,9 +14,9 @@ import numpy as np
 
 from .._linalg import signed_svd
 from ..tensors import as_tensor, matricize
-from .family import clamp_ranks, mode_sets, probe_ranks
+from .family import clamp_ranks
 
-__all__ = ["TTDecomposition", "tt_truncate", "tt_rank"]
+__all__ = ["TTDecomposition", "tt_truncate"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,3 @@ def tt_truncate(X, ranks) -> TTDecomposition:
         prev = rk
     cores.append(M)
     return TTDecomposition(cores=tuple(cores))
-
-
-def tt_rank(X) -> tuple[int, ...]:
-    """Numerical ranks of the matricizations that split after mode i, i = 1..d-1."""
-    return probe_ranks(X, mode_sets("tt", np.ndim(X)))

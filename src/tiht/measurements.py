@@ -40,6 +40,13 @@ class MeasurementEnsemble:
     def field(self) -> str:
         return "real"
 
+    def _check_sample_set(self, omega: np.ndarray) -> None:
+        """The m sampled flat indices must be distinct, so m cannot exceed the tensor size."""
+        if self.m > self.size:
+            raise ValueError(f"m = {self.m} exceeds tensor size {self.size}")
+        if len(np.unique(omega)) != omega.size:
+            raise ValueError("sample set must consist of distinct indices")
+
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
         if X.shape != self.shape:
@@ -57,6 +64,14 @@ class MeasurementEnsemble:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _draw_sample_set(shape, m: int, rng) -> np.ndarray:
+    """m distinct flat indices drawn uniformly without replacement."""
+    N = math.prod(shape)
+    if not 1 <= m <= N:
+        raise ValueError(f"need 1 <= m <= {N}, got m = {m}")
+    return rng.choice(N, size=int(m), replace=False)
 
 
 class GaussianEnsemble(MeasurementEnsemble):
@@ -98,10 +113,7 @@ class FourierEnsemble(MeasurementEnsemble):
         signs = np.asarray(signs, dtype=np.float64)
         omega = np.asarray(omega, dtype=np.intp)
         super().__init__(signs.shape, omega.size)
-        if self.m > self.size:
-            raise ValueError(f"m = {self.m} exceeds tensor size {self.size}")
-        if len(np.unique(omega)) != omega.size:
-            raise ValueError("sample set must consist of distinct indices")
+        self._check_sample_set(omega)
         self.signs = signs
         self.omega = omega
 
@@ -112,13 +124,9 @@ class FourierEnsemble(MeasurementEnsemble):
     @classmethod
     def draw(cls, shape, m: int, seed) -> "FourierEnsemble":
         shape = check_shape(shape)
-        N = math.prod(shape)
-        if not 1 <= m <= N:
-            raise ValueError(f"need 1 <= m <= {N}, got m = {m}")
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-        omega = rng.choice(N, size=int(m), replace=False)
-        return cls(signs, omega)
+        return cls(signs, _draw_sample_set(shape, m, rng))
 
     def apply(self, X):
         X = self._check_input(X)
@@ -154,22 +162,14 @@ class CompletionEnsemble(MeasurementEnsemble):
     def __init__(self, shape, omega: np.ndarray):
         omega = np.asarray(omega, dtype=np.intp)
         super().__init__(shape, omega.size)
-        if self.m > self.size:
-            raise ValueError(f"m = {self.m} exceeds tensor size {self.size}")
-        if len(np.unique(omega)) != omega.size:
-            raise ValueError("sample set must consist of distinct indices")
+        self._check_sample_set(omega)
         self.omega = omega
         self.scale = math.sqrt(self.size / self.m)
 
     @classmethod
     def draw(cls, shape, m: int, seed) -> "CompletionEnsemble":
         shape = check_shape(shape)
-        N = math.prod(shape)
-        if not 1 <= m <= N:
-            raise ValueError(f"need 1 <= m <= {N}, got m = {m}")
-        rng = np.random.default_rng(seed)
-        omega = rng.choice(N, size=int(m), replace=False)
-        return cls(shape, omega)
+        return cls(shape, _draw_sample_set(shape, m, np.random.default_rng(seed)))
 
     def apply(self, X):
         X = self._check_input(X)

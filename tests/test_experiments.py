@@ -13,7 +13,7 @@ from tiht.experiments import (
     run_phase_diagram,
     run_single_trial,
 )
-from tiht.formats import hosvd_rank
+from tiht.formats import probe_ranks
 
 
 def _small_spec(**overrides):
@@ -33,13 +33,13 @@ def _small_spec(**overrides):
 
 def test_generator_rank_one_is_separable():
     X = generate_test_tensor((6, 5, 4), (1, 1, 1), seed=0)
-    assert hosvd_rank(X) == (1, 1, 1)
+    assert probe_ranks(X, "hosvd") == (1, 1, 1)
 
 
 def test_generator_hits_requested_rank_100_draws():
     for seed in range(100):
         X = generate_test_tensor((10, 10, 10), (2, 2, 2), seed=seed)
-        assert hosvd_rank(X) == (2, 2, 2)
+        assert probe_ranks(X, "hosvd") == (2, 2, 2)
 
 
 def test_generator_deterministic():

@@ -5,8 +5,8 @@ import pytest
 
 from tiht.formats import (
     DegenerateTensorError,
-    hosvd_rank,
     hosvd_truncate,
+    probe_ranks,
 )
 from tiht.experiments import generate_test_tensor
 from tiht.tensors import frobenius_norm, inner_product
@@ -25,7 +25,7 @@ def test_decompose_rank_one_tensor():
     v = np.array([1.0, 1.0, 1.0])
     w = np.array([2.0, 0.0])
     X = np.einsum("i,j,k->ijk", u, v, w)
-    D = hosvd_truncate(X, hosvd_rank(X))
+    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
     assert D.ranks == (1, 1, 1)
     weight = np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(w)
     assert np.isclose(abs(D.core[0, 0, 0]), weight)
@@ -37,7 +37,7 @@ def test_decompose_rank_one_tensor():
 
 def test_decompose_diagonal_example_ranks_and_slice_norms():
     X = _diag_weight_tensor()
-    D = hosvd_truncate(X, hosvd_rank(X))
+    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
     assert D.ranks == (2, 2, 2)
     # mode-k subtensor norms of the core are the ordered singular values (2, 1)
     for k in range(3):
@@ -50,14 +50,14 @@ def test_decompose_diagonal_example_ranks_and_slice_norms():
 def test_decompose_reconstructs_random_tensor():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 4, 4))
-    D = hosvd_truncate(X, hosvd_rank(X))
+    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
 
 def test_decompose_invariants():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((4, 5, 6))
-    D = hosvd_truncate(X, hosvd_rank(X))
+    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
     C = D.core
     for k, U in enumerate(D.factors):
         gram = U.T @ U
@@ -73,9 +73,9 @@ def test_decompose_invariants():
 def test_decompose_zero_tensor_degenerate():
     X = np.zeros((2, 2, 2))
     with pytest.raises(DegenerateTensorError):
-        hosvd_truncate(X, hosvd_rank(X))
+        hosvd_truncate(X, probe_ranks(X, "hosvd"))
     with pytest.raises(DegenerateTensorError):
-        hosvd_rank(np.zeros((2, 2)))
+        probe_ranks(np.zeros((2, 2)), "hosvd")
 
 
 def test_truncate_fixes_exact_rank_tensors():
@@ -98,7 +98,7 @@ def test_truncate_output_rank_bounded():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((5, 5, 5))
     D = hosvd_truncate(X, (2, 3, 1))
-    assert hosvd_rank(D.reconstruct()) <= (2, 3, 1)
+    assert probe_ranks(D.reconstruct(), "hosvd") <= (2, 3, 1)
 
 
 def test_truncate_clamps_oversized_ranks():
@@ -139,10 +139,10 @@ def test_error_contractive_in_rank():
 def test_rank_of_separable_and_generic_sum():
     u, v, w = (np.random.default_rng([30, i]).standard_normal(6) for i in range(3))
     X = np.einsum("i,j,k->ijk", u, v, w)
-    assert hosvd_rank(X) == (1, 1, 1)
+    assert probe_ranks(X, "hosvd") == (1, 1, 1)
     u2, v2, w2 = (np.random.default_rng([31, i]).standard_normal(6) for i in range(3))
     Y = X + np.einsum("i,j,k->ijk", u2, v2, w2)
-    assert hosvd_rank(Y) == (2, 2, 2)
+    assert probe_ranks(Y, "hosvd") == (2, 2, 2)
 
 
 def test_storage_matches_parameter_count():
@@ -156,7 +156,7 @@ def test_storage_matches_parameter_count():
 def test_complex_truncation_roundtrip():
     rng = np.random.default_rng(33)
     X = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    D = hosvd_truncate(X, hosvd_rank(X))
+    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
     for U in D.factors:
         assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) < 1e-10

@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 
 from tiht.experiments import random_rank_r_tensor
-from tiht.formats import DimensionTree, clamp_ranks, ht_rank, ht_truncate
+from tiht.formats import DimensionTree, clamp_ranks, ht_truncate, probe_ranks
 from tiht.tensors import frobenius_norm
 
 
 def test_balanced_tree_structure():
+    # a node is its tuple of modes
     tree = DimensionTree.balanced(4)
-    assert tree.root == (0, 4)
-    assert tree.children((0, 4)) == ((0, 2), (2, 4))
+    assert tree.root == (0, 1, 2, 3)
+    assert tree.children[(0, 1, 2, 3)] == ((0, 1), (2, 3))
     tree5 = DimensionTree.balanced(5)
-    assert tree5.children((0, 5)) == ((0, 3), (3, 5))
-    assert tree5.children((0, 3)) == ((0, 2), (2, 3))
+    assert tree5.children[(0, 1, 2, 3, 4)] == ((0, 1, 2), (3, 4))
+    assert tree5.children[(0, 1, 2)] == ((0, 1), (2,))
 
 
 def test_degenerate_tree_is_tt_shaped():
     tree = DimensionTree.degenerate(4)
-    assert tree.children((0, 4)) == ((0, 1), (1, 4))
-    assert tree.children((1, 4)) == ((1, 2), (2, 4))
-    assert tree.children((2, 4)) == ((2, 3), (3, 4))
+    assert tree.children[(0, 1, 2, 3)] == ((0,), (1, 2, 3))
+    assert tree.children[(1, 2, 3)] == ((1,), (2, 3))
+    assert tree.children[(2, 3)] == ((2,), (3,))
 
 
 def test_tree_nested_roundtrip_and_validation():
     tree = DimensionTree.balanced(5)
-    assert DimensionTree(tree.to_nested()) == tree
+    assert DimensionTree(tree.nested) == tree
+    assert DimensionTree([[0, 1], 2]) == DimensionTree(((0, 1), 2)) != DimensionTree((0, (1, 2)))
     with pytest.raises(ValueError):
         DimensionTree(((1, 0), 2))  # sons out of order
     with pytest.raises(ValueError):
@@ -57,8 +59,7 @@ def test_truncation_bounds_node_ranks():
     X = rng.standard_normal((3, 3, 3, 3))
     tree = DimensionTree.balanced(4)
     D = ht_truncate(X, tree, 2)
-    ranks = ht_rank(D.reconstruct(), tree)
-    assert all(r <= 2 for node, r in ranks.items() if node != tree.root)
+    assert all(r <= 2 for r in probe_ranks(D.reconstruct(), "ht", tree))
 
 
 def test_leaf_frames_orthonormal():
@@ -137,10 +138,9 @@ def test_clamped_ranks_are_the_truncation_ranks(shape, name, field):
 def test_ht_rank_probe_on_structured_tensor():
     tree = DimensionTree.balanced(4)
     X = random_rank_r_tensor((3, 4, 3, 2), "ht", 2, np.random.default_rng(63), tree)
-    ranks = ht_rank(X, tree)
-    assert ranks[tree.root] == 1
-    assert all(r <= 2 for node, r in ranks.items())
+    ranks = probe_ranks(X, "ht", tree)
+    assert len(ranks) == len(tree.sets) and all(r <= 2 for r in ranks)
     rng = np.random.default_rng(64)
     us = [rng.standard_normal(n) for n in (3, 4, 3, 2)]
     sep = np.einsum("i,j,k,l->ijkl", *us)
-    assert all(r == 1 for r in ht_rank(sep, tree).values())
+    assert all(r == 1 for r in probe_ranks(sep, "ht", tree))

@@ -1,7 +1,8 @@
 """The truncation path's kernels against the forms they replaced, bit for bit.
 
 The references below are the earlier implementations: one SVD and a Python
-column loop per basis, and ``tensordot`` plus ``moveaxis`` per mode product.
+column loop per basis, ``tensordot`` plus ``moveaxis`` per mode product, and
+the recursive dimension-tree walks of the HT draw and the HT node frames.
 The kernels must agree with them under ``np.array_equal``, not within a
 tolerance, so that seeded traces stay identical.
 """
@@ -10,8 +11,16 @@ import numpy as np
 import pytest
 
 from tiht._linalg import fix_svd_signs, signed_svd, top_left_bases
-from tiht.formats import hosvd_truncate
-from tiht.tensors import matricize, mode_product
+from tiht.experiments import random_rank_r_tensor
+from tiht.formats import (
+    DimensionTree,
+    HTDecomposition,
+    clamp_ranks,
+    hosvd_truncate,
+    ht_truncate,
+    mode_sets,
+)
+from tiht.tensors import matricize, mode_product, unvec
 
 
 def _loop_fix_svd_signs(U, SVt=None):
@@ -101,3 +110,63 @@ def test_hosvd_truncate_is_one_svd_per_mode_bit_for_bit(shape, field):
         assert np.array_equal(U, top_left_bases([M], [r])[0]), k
         core = np.moveaxis(np.tensordot(core, U.conj().T, ([k], [1])), -1, k)
     assert np.array_equal(D.core, core)
+
+
+def _recursive_ht_draw(shape, rank, seed, tree):
+    ranks = {tree.root: 1, **dict(zip(*clamp_ranks("ht", rank, shape, tree)))}
+    rng = np.random.default_rng(seed)
+    frames, transfers = {}, {}
+
+    def draw_node(node):  # depth first, left son first
+        if len(node) == 1:
+            frames[node[0]], _ = np.linalg.qr(rng.standard_normal((shape[node[0]], ranks[node])))
+            return
+        s1, s2 = tree.children[node]
+        draw_node(s1)
+        draw_node(s2)
+        r = (ranks[node], ranks[s1], ranks[s2])
+        transfers[node] = rng.standard_normal((r[0], r[1] * r[2])).reshape(r, order="F")
+
+    draw_node(tree.root)
+    return HTDecomposition(tree, transfers, frames, shape)
+
+
+def _node_frame(D, node, known):
+    if node not in known:
+        if len(node) == 1:
+            known[node] = D.frames[node[0]]
+        else:
+            s1, s2 = D.tree.children[node]
+            U1 = _node_frame(D, s1, known)
+            U2 = _node_frame(D, s2, known)
+            known[node] = np.kron(U2, U1) @ matricize(D.transfers[node], (1, 2))
+    return known[node]
+
+
+def _recursive_reconstruct(D):
+    return unvec(_node_frame(D, D.tree.root, {})[:, 0], D.shape)
+
+
+HT_TREES = {
+    "balanced5": (DimensionTree.balanced(5), (2, 3, 4, 3, 2)),
+    "degenerate4": (DimensionTree.degenerate(4), (3, 5, 2, 4)),
+    "irregular6": (DimensionTree((((0, 1), 2), (3, (4, 5)))), (2, 3, 2, 4, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(HT_TREES))
+def test_ht_walks_are_the_recursive_walks_bit_for_bit(name):
+    tree, shape = HT_TREES[name]
+    assert mode_sets("ht", len(shape), tree) == tree.sets
+    rng = np.random.default_rng(12)
+    for r in (1, 2, 3):
+        draw = random_rank_r_tensor(shape, "ht", r, [12, r], tree)
+        assert np.array_equal(draw, _recursive_reconstruct(_recursive_ht_draw(shape, r, [12, r], tree))), r
+        for field in ("real", "complex"):
+            D = ht_truncate(_random(rng, shape, field), tree, r)
+            assert np.array_equal(D.reconstruct(), _recursive_reconstruct(D)), (r, field)
+            known = {}
+            blocks = D.blocks()
+            assert [S for S, _ in blocks] == tree.sets
+            for S, U in blocks:
+                assert np.array_equal(U, _node_frame(D, S, known)), (r, field, S)

@@ -3,7 +3,7 @@ import pytest
 
 import tiht.solvers
 from tiht.experiments import generate_test_tensor, random_rank_r_tensor
-from tiht.formats import DimensionTree, hosvd_rank, mode_sets, truncate
+from tiht.formats import DimensionTree, mode_sets, probe_ranks, truncate
 from tiht.measurements import GaussianEnsemble, draw
 from tiht.solvers import (
     RankProjector,
@@ -169,7 +169,7 @@ def test_gaussian_recovery_success_and_rank_of_result():
         X_ref=X0, success_threshold=1e-3,
     )
     assert res.success
-    assert hosvd_rank(res.tensor) == (1, 1, 1)
+    assert probe_ranks(res.tensor, "hosvd") == (1, 1, 1)
     assert all(mu > 0 for mu in res.mus)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiht.experiments import random_rank_r_tensor
-from tiht.formats import tt_rank, tt_truncate
+from tiht.formats import probe_ranks, tt_truncate
 from tiht.tensors import frobenius_norm, matricize
 
 
@@ -95,9 +95,9 @@ def test_error_contractive_in_rank():
 def test_tt_rank_probe():
     rng = np.random.default_rng(47)
     X = random_rank_r_tensor((4, 5, 6), "tt", (2, 3), rng)
-    assert tt_rank(X) == (2, 3)
+    assert probe_ranks(X, "tt") == (2, 3)
     u, v, w = rng.standard_normal(4), rng.standard_normal(5), rng.standard_normal(6)
-    assert tt_rank(np.einsum("i,j,k->ijk", u, v, w)) == (1, 1)
+    assert probe_ranks(np.einsum("i,j,k->ijk", u, v, w), "tt") == (1, 1)
 
 
 def test_rank_validation():

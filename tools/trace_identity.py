@@ -12,7 +12,8 @@ cap 100.  Per run it saves ``mus``, ``residuals``, ``step_norms``,
 tensor.  Off that balanced 10x10x10 HT path it saves HT draws and
 ``ht_truncate``'s ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
 real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
-``degenerate(4)`` and ``balanced(3)``.  ``compare`` prints how many arrays are
+``degenerate(4)``, ``balanced(3)`` and the order-6 tree ``(((0, 1), 2), (3, (4, 5)))``,
+which is neither balanced nor degenerate.  ``compare`` prints how many arrays are
 identical and the worst relative difference, and exits 1 unless all are.
 """
 
@@ -57,11 +58,15 @@ def dump(src: Path, out: str) -> None:
 
 def ht_arrays(tiht) -> dict:
     DT, rng, arrays = tiht.formats.DimensionTree, np.random.default_rng(2016), {}
-    cases = (("balanced", 5, (2, 3, 4, 3, 2)), ("degenerate", 4, (3, 5, 2, 4)), ("balanced", 3, (4, 2, 5)))
-    for name, order, shape in cases:
-        tree = getattr(DT, name)(order)
+    cases = (
+        ("balanced5", DT.balanced(5), (2, 3, 4, 3, 2)),
+        ("degenerate4", DT.degenerate(4), (3, 5, 2, 4)),
+        ("balanced3", DT.balanced(3), (4, 2, 5)),
+        ("irregular6", DT((((0, 1), 2), (3, (4, 5)))), (2, 3, 2, 4, 3, 2)),
+    )
+    for name, tree, shape in cases:
         for r in (1, 2, 3):
-            label = f"ht/{name}{order}/rank{r}"
+            label = f"ht/{name}/rank{r}"
             arrays[f"{label}/draw"] = tiht.experiments.random_rank_r_tensor(shape, "ht", r, [2016, r], tree)
             for field in ("real", "complex"):
                 X = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
