@@ -42,7 +42,7 @@ def signed_svd(M: np.ndarray):
 
 
 def top_left_bases(mats, ranks) -> list[np.ndarray]:
-    """First ``r`` left singular vectors of every matrix (r clamped to min(M.shape)).
+    """First ``r`` left singular vectors of every matrix (at most min(M.shape) of them).
 
     Matrices of one shape share one SVD call on their stack.  When ``M`` has
     fewer than ``r`` nonzero singular values the trailing columns are the
@@ -54,7 +54,7 @@ def top_left_bases(mats, ranks) -> list[np.ndarray]:
         groups.setdefault(M.shape, []).append(i)
     bases = [None] * len(mats)
     for shape, idx in groups.items():
-        r = [min(int(ranks[i]), *shape) for i in idx]
+        r = [ranks[i] for i in idx]
         U, _, _ = np.linalg.svd(np.array([mats[i] for i in idx]), full_matrices=False)
         U = fix_svd_signs(U[..., : max(r)])
         for U_i, i, r_i in zip(U, idx, r):

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import FORMATS
+from .formats import FORMATS, random_rank_r_tensor
 from .measurements import MeasurementEnsemble
+from .solvers import VARIANTS
 from .tensors import frobenius_norm
 
 __all__ = [
@@ -65,8 +66,6 @@ def trip_estimate(
     Per-sample seeds derive from the master seed, so a larger run shares its
     sample prefix with a smaller one.
     """
-    from .experiments import random_rank_r_tensor
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     deviations = np.empty(n_samples)
@@ -174,7 +173,7 @@ def convergence_constants(variant: str, a: float, delta3r: float, opnorm: float)
     delta(a) = a/4 (CTIHT) or a/(a+8) (NTIHT); eps(a) and b(a) follow the
     displayed formulas, and the error horizon is (1 - a + b) / (1 - a).
     """
-    if variant not in ("ctiht", "ntiht"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")

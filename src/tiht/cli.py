@@ -45,6 +45,8 @@ def _parse_grid(text: str) -> tuple[int, ...]:
             values.extend(range(lo, hi + 1, step))
         else:
             values.append(int(part))
+    if not values:
+        raise ValueError(f"grid {text!r} holds no percentage")
     return tuple(sorted(set(values)))
 
 
@@ -55,26 +57,22 @@ def _default_grid() -> tuple[int, ...]:
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", type=_parse_shape, default=(10, 10, 10), help="tensor extents, e.g. 10x10x10")
-    p.add_argument("--rank", type=_parse_rank, default=(1, 1, 1), help="target rank tuple, e.g. 1,1,1")
+    p.add_argument("--rank", type=_parse_rank, default=(1, 1, 1), help="rank tuple, e.g. 1,1,1; one int for HT")
     p.add_argument("--format", choices=FORMATS, default="hosvd")
-    p.add_argument("--ensemble", choices=("gaussian", "fourier", "completion"), default="gaussian")
+    p.add_argument("--ensemble", choices=measurements.ENSEMBLES, default="gaussian")
     p.add_argument("--seed", type=int, default=0)
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=("ctiht", "ntiht"), default="ntiht")
+    p.add_argument("--variant", choices=solvers.VARIANTS, default="ntiht")
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--conv-tol", type=float, default=1e-4)
     p.add_argument("--threshold", type=float, default=None, help="success threshold on the final error")
 
 
 def _solver_rank(args):
-    if args.format == "ht":
-        # uniform rank over the balanced tree when a single value is given
-        if len(set(args.rank)) != 1:
-            raise ValueError("HT ranks on the CLI must be a single uniform value, e.g. --rank 2")
-        return args.rank[0]
-    return args.rank
+    # an HT rank is one int, so --rank r means r; clamp_ranks rejects any other HT form
+    return args.rank[0] if args.format == "ht" and len(args.rank) == 1 else args.rank
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="also report convergence constants at this a")
     p.add_argument("--delta3r", type=float, default=0.0)
     p.add_argument("--opnorm", type=float, default=1.0)
-    p.add_argument("--variant", choices=("ctiht", "ntiht"), default="ntiht")
+    p.add_argument("--variant", choices=solvers.VARIANTS, default="ntiht")
     p.add_argument("--out", default=None)
     return parser
 
@@ -176,7 +174,7 @@ def _cmd_phase(args) -> int:
         ensemble=args.ensemble,
         variant=args.variant,
         format=args.format,
-        grid=args.grid or _default_grid(),
+        grid=_default_grid() if args.grid is None else args.grid,
         trials=args.trials,
         threshold=args.threshold,
         seed=args.seed,

@@ -1,4 +1,4 @@
-"""Phase-transition harness: random low-rank tensors, seeded trial sweeps,
+"""Phase-transition harness: seeded trial sweeps over random low-rank tensors,
 aggregated success rates over a measurement-percentage grid.
 
 A grid value nbar maps to m = ceil(N * nbar / 100) measurements.  Recovery of
@@ -19,18 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import (
-    DimensionTree,
-    HosvdDecomposition,
-    HTDecomposition,
-    TTDecomposition,
-    clamp_ranks,
-    default_tree,
-)
-from .measurements import draw
+from .formats import DimensionTree, draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
+from .measurements import ENSEMBLES, draw
 from .solvers import SolverConfig, tiht_run
 from .tensors import check_shape
-from ._linalg import fix_svd_signs
 
 __all__ = [
     "ExperimentSpec",
@@ -47,7 +39,7 @@ __all__ = [
     "load_results",
 ]
 
-DEFAULT_THRESHOLDS = {"gaussian": 1e-3, "fourier": 1e-3, "completion": 2.5e-3}
+DEFAULT_THRESHOLDS = {kind: 2.5e-3 if kind == "completion" else 1e-3 for kind in ENSEMBLES}
 
 
 def success_threshold(ensemble: str, threshold: float | None = None) -> float:
@@ -59,73 +51,9 @@ def success_threshold(ensemble: str, threshold: float | None = None) -> float:
     return threshold
 
 
-def _generator_rank(dims: tuple[int, ...], rank) -> tuple[int, ...]:
-    """The multilinear rank :func:`generate_test_tensor` draws: r_k in [1, n_k], never clamped."""
-    r = tuple(int(v) for v in rank)
-    if len(r) != len(dims):
-        raise ValueError(f"rank tuple {r} does not match order {len(dims)}")
-    if any(not 1 <= v <= n for v, n in zip(r, dims)):
-        raise ValueError(f"ranks {r} must lie in [1, n_k] for shape {dims}")
-    return r
-
-
 def measurement_count(shape, nbar: int) -> int:
     """m = ceil(N * nbar / 100) for a tensor of ``shape``, in exact integer arithmetic."""
     return -(-math.prod(shape) * nbar // 100)
-
-
-def generate_test_tensor(shape, rank, seed) -> np.ndarray:
-    """Random tensor of exact (almost surely) multilinear rank ``rank``.
-
-    Core entries are i.i.d. N(0,1); the mode-k factor holds the first r_k
-    left singular vectors of an n_k x n_k standard Gaussian matrix.
-    Deterministic per seed.
-    """
-    dims = check_shape(shape)
-    r = _generator_rank(dims, rank)
-    rng = np.random.default_rng(seed)
-    core = rng.standard_normal(r)
-    factors = []
-    for n, rk in zip(dims, r):
-        U, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
-        factors.append(fix_svd_signs(U[:, :rk]))
-    return HosvdDecomposition(core, tuple(factors)).reconstruct()
-
-
-def random_rank_r_tensor(shape, fmt: str, rank, rng, tree: DimensionTree | None = None) -> np.ndarray:
-    """Random tensor of format rank at most ``rank`` (exact almost surely).
-
-    HOSVD uses :func:`generate_test_tensor`'s construction; TT draws Gaussian
-    cores, HT Gaussian transfer tensors and orthonormalized leaf frames, and
-    the format's decomposition reconstructs the tensor.
-    """
-    dims = check_shape(shape)
-    d = len(dims)
-    if fmt == "hosvd":
-        return generate_test_tensor(dims, rank, rng)
-    if fmt == "tt":
-        clamp_ranks("tt", rank, dims)  # validation only: the cores keep the ranks asked for
-        r = (1, *(int(v) for v in rank), 1)
-        rng = np.random.default_rng(rng)
-        cores = [rng.standard_normal((r[k], dims[k], r[k + 1])) for k in range(d)]
-        # boundary ranks are 1: the first core is n_1 x r_1, the last r_{d-1} x n_d
-        return TTDecomposition((cores[0][0], *cores[1:-1], cores[-1][..., 0])).reconstruct()
-    if fmt == "ht":
-        tree = default_tree(tree, d)
-        ranks = {tree.root: 1, **dict(zip(*clamp_ranks("ht", rank, dims, tree)))}
-        rng = np.random.default_rng(rng)
-        frames, transfers = {}, {}
-        # by last mode, then size: left subtree, right subtree, node, the
-        # depth-first order that fixes every seeded X0
-        for t in sorted(ranks, key=lambda t: (t[-1], len(t))):
-            if len(t) == 1:
-                frames[t[0]], _ = np.linalg.qr(rng.standard_normal((dims[t[0]], ranks[t])))
-            else:
-                s1, s2 = tree.children[t]
-                r = (ranks[t], ranks[s1], ranks[s2])
-                transfers[t] = rng.standard_normal((r[0], r[1] * r[2])).reshape(r, order="F")
-        return HTDecomposition(tree, transfers, frames, dims).reconstruct()
-    raise ValueError(f"unknown tensor format {fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -152,13 +80,11 @@ class ExperimentSpec:
             raise ValueError("grid percentages must lie in 1..100")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.ensemble not in DEFAULT_THRESHOLDS:
+        if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
         self.solver_config()  # validates variant, format, max_iters and conv_tol
-        clamp_ranks(self.format, self.rank, self.shape, self.tree)  # validates the rank
-        if self.format == "hosvd":
-            _generator_rank(self.shape, self.rank)  # HOSVD test tensors are drawn at it, unclamped
+        draw_ranks(self.format, self.rank, self.shape, self.tree)  # validates the rank
 
     def solver_config(self) -> SolverConfig:
         """The solver settings every trial of the sweep runs with."""

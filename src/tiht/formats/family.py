@@ -138,6 +138,8 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
         if not isinstance(ranks, (int, np.integer)):
             raise ValueError(f"an HT rank is one int for every tree node, got {ranks!r}")
         ranks = [ranks] * len(sets)
+    elif isinstance(ranks, (int, np.integer)):
+        raise ValueError(f"a {fmt} rank is a sequence of one int per mode set, got {ranks!r}")
     r = tuple(int(v) for v in ranks)
     if len(r) != len(sets):
         raise ValueError(f"{fmt} rank {r} must have length {len(sets)} for order {len(dims)}")
@@ -150,6 +152,15 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
         for k in range(1, len(r)):
             r[k] = min(r[k], r[k - 1] * dims[k])
     return sets, tuple(r)
+
+
+def draw_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
+    """``clamp_ranks`` for a random draw.  The HOSVD draw is made at exactly
+    ``ranks``, so there the clamp must keep every rank."""
+    sets, r = clamp_ranks(fmt, ranks, shape, tree)
+    if fmt == "hosvd" and r != tuple(ranks):
+        raise ValueError(f"a HOSVD draw rank must lie in [1, min(n_k, N / n_k)], got {ranks} for shape {shape}")
+    return sets, r
 
 
 def probe_ranks(X, fmt: str, tree: DimensionTree | None = None) -> tuple[int, ...]:

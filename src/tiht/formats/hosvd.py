@@ -1,4 +1,4 @@
-"""Higher-order SVD: rank-r truncation and reconstruction.
+"""Higher-order SVD: rank-r truncation, reconstruction and random draws.
 
 The decomposition of X is ``core x_1 U_1 ... x_d U_d`` with the U_k holding
 left singular vectors of the mode-k unfoldings.  By construction the core is
@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import top_left_bases
-from ..tensors import as_tensor, matricize, mode_product
-from .family import clamp_ranks
+from .._linalg import fix_svd_signs, top_left_bases
+from ..tensors import as_tensor, check_shape, matricize, mode_product
+from .family import clamp_ranks, draw_ranks
 
-__all__ = ["HosvdDecomposition", "hosvd_truncate"]
+__all__ = ["HosvdDecomposition", "hosvd_truncate", "hosvd_random"]
 
 
 @dataclass(frozen=True)
@@ -54,3 +54,17 @@ def hosvd_truncate(X, ranks) -> HosvdDecomposition:
     for k, U in enumerate(factors):
         core = mode_product(core, U.conj().T, k)
     return HosvdDecomposition(core=core, factors=factors)
+
+
+def hosvd_random(shape, ranks, seed) -> np.ndarray:
+    """Random tensor of exact (almost surely) multilinear rank ``ranks``: an i.i.d. N(0,1) core
+    and, per mode, the first r_k left singular vectors of an n_k x n_k standard Gaussian matrix."""
+    dims = check_shape(shape)
+    _, r = draw_ranks("hosvd", ranks, dims)
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal(r)
+    factors = []
+    for n, rk in zip(dims, r):
+        U, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
+        factors.append(fix_svd_signs(U[:, :rk]))
+    return HosvdDecomposition(core, tuple(factors)).reconstruct()

@@ -1,5 +1,5 @@
-"""Hierarchical Tucker format: leaves-to-root truncation over a dimension tree
-and reconstruction.
+"""Hierarchical Tucker format: leaves-to-root truncation over a dimension tree,
+reconstruction and random draws.
 
 Tree nodes are the mode tuples of :class:`~tiht.formats.family.DimensionTree`,
 and every walk over the tree runs through its ``sets``, sons before fathers.
@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import top_left_bases
-from ..tensors import as_tensor, matricize, tensorize, unvec
-from .family import DimensionTree, clamp_ranks
+from ..tensors import as_tensor, check_shape, matricize, tensorize, unvec
+from .family import DimensionTree, clamp_ranks, default_tree, draw_ranks
 from .hosvd import hosvd_truncate
 
-__all__ = ["HTDecomposition", "ht_truncate"]
+__all__ = ["HTDecomposition", "ht_truncate", "ht_random"]
 
 
 @dataclass(frozen=True)
@@ -95,3 +95,23 @@ def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
         raise RuntimeError("tree traversal did not reduce to the root's sons")
     transfers[tree.root] = C[None, :, :]
     return HTDecomposition(tree=tree, transfers=transfers, frames=frames, shape=dims)
+
+
+def ht_random(shape, ranks, seed, tree: DimensionTree | None = None) -> np.ndarray:
+    """Random tensor over ``tree`` (balanced by default) at the node ranks ``clamp_ranks`` gives:
+    orthonormalized N(0,1) leaf frames and i.i.d. N(0,1) transfer tensors."""
+    dims = check_shape(shape)
+    tree = default_tree(tree, len(dims))
+    ranks = {tree.root: 1, **dict(zip(*draw_ranks("ht", ranks, dims, tree)))}
+    rng = np.random.default_rng(seed)
+    frames, transfers = {}, {}
+    # by last mode, then size: left subtree, right subtree, node, the
+    # depth-first order that fixes every seeded draw
+    for t in sorted(ranks, key=lambda t: (t[-1], len(t))):
+        if len(t) == 1:
+            frames[t[0]], _ = np.linalg.qr(rng.standard_normal((dims[t[0]], ranks[t])))
+        else:
+            s1, s2 = tree.children[t]
+            r = (ranks[t], ranks[s1], ranks[s2])
+            transfers[t] = rng.standard_normal((r[0], r[1] * r[2])).reshape(r, order="F")
+    return HTDecomposition(tree, transfers, frames, dims).reconstruct()

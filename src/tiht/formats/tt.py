@@ -1,4 +1,4 @@
-"""Tensor-train format: TT-SVD truncation and reconstruction.
+"""Tensor-train format: TT-SVD truncation, reconstruction and random draws.
 
 Cores are G_1 (n_1 x r_1), G_k (r_{k-1} x n_k x r_k) for interior k, and
 G_d (r_{d-1} x n_d); entries come from the chained matrix products
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import signed_svd
-from ..tensors import as_tensor, matricize
-from .family import clamp_ranks
+from ..tensors import as_tensor, check_shape, matricize
+from .family import clamp_ranks, draw_ranks
 
-__all__ = ["TTDecomposition", "tt_truncate"]
+__all__ = ["TTDecomposition", "tt_truncate", "tt_random"]
 
 
 @dataclass(frozen=True)
@@ -78,3 +78,13 @@ def tt_truncate(X, ranks) -> TTDecomposition:
         prev = rk
     cores.append(M)
     return TTDecomposition(cores=tuple(cores))
+
+
+def tt_random(shape, ranks, seed) -> np.ndarray:
+    """Random tensor of i.i.d. N(0,1) TT cores at the ranks ``clamp_ranks`` gives."""
+    dims = check_shape(shape)
+    r = (1, *draw_ranks("tt", ranks, dims)[1], 1)
+    rng = np.random.default_rng(seed)
+    cores = [rng.standard_normal((r[k], dims[k], r[k + 1])) for k in range(len(dims))]
+    # boundary ranks are 1: the first core is n_1 x r_1, the last r_{d-1} x n_d
+    return TTDecomposition((cores[0][0], *cores[1:-1], cores[-1][..., 0])).reconstruct()

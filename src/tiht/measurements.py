@@ -18,6 +18,7 @@ import numpy as np
 from .tensors import check_shape, unvec, vec
 
 __all__ = [
+    "ENSEMBLES",
     "MeasurementEnsemble",
     "GaussianEnsemble",
     "FourierEnsemble",
@@ -187,6 +188,7 @@ _KINDS = {
     "fourier": FourierEnsemble,
     "completion": CompletionEnsemble,
 }
+ENSEMBLES = tuple(_KINDS)
 
 
 def draw(kind: str, shape, m: int, seed) -> MeasurementEnsemble:

@@ -32,6 +32,7 @@ from ._linalg import top_left_bases
 from .tensors import frobenius_norm, matricize, tensorize, vec
 
 __all__ = [
+    "VARIANTS",
     "SolverConfig",
     "IterateState",
     "RecoveryResult",
@@ -41,6 +42,9 @@ __all__ = [
     "tiht_run",
     "export_trace_csv",
 ]
+
+
+VARIANTS = ("ctiht", "ntiht")
 
 
 @dataclass
@@ -57,7 +61,7 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("ctiht", "ntiht"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")

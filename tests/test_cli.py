@@ -118,6 +118,14 @@ def test_grid_range_parsing(capsys):
     assert "nbar= 40" in out and "nbar= 50" in out and "nbar= 60" in out
 
 
+def test_empty_grid_exits_with_status_2(capsys):
+    # 10:5 holds no percentage; it must not fall back to the default grid
+    with pytest.raises(SystemExit) as exc:
+        main("phase --shape 4x4 --rank 1,1 --grid 10:5 --trials 1".split())
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_arguments():
     proc = subprocess.run(
         [sys.executable, "-m", "tiht.cli", "phase", "--ensemble", "sparse"],
@@ -153,8 +161,9 @@ def test_console_entry_point_runs():
         ["--format", "tt", "--rank", "1,1,1", "--nbar", "50"],  # TT rank of length d
         ["--format", "tt", "--rank", "1,1,1,1", "--nbar", "50"],
         ["--format", "ht", "--rank", "1,2", "--nbar", "50"],  # non-uniform HT rank
+        ["--format", "ht", "--rank", "2,2,2", "--nbar", "50"],  # an HT rank is one int
     ],
-    ids=["no-size", "tt-length-d", "tt-length-4", "ht-non-uniform"],
+    ids=["no-size", "tt-length-d", "tt-length-4", "ht-non-uniform", "ht-tuple"],
 )
 def test_recover_argument_errors_exit_with_status_2(extra, capsys):
     with pytest.raises(SystemExit) as exc:

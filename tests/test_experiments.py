@@ -55,6 +55,9 @@ def test_generator_validates_rank():
         generate_test_tensor((3, 3, 3), (4, 1, 1), seed=0)
     with pytest.raises(ValueError):
         generate_test_tensor((3, 3, 3), (1, 1), seed=0)
+    # r_1 = 5 exceeds N / n_1 = 4, the column count of the mode-1 unfolding
+    with pytest.raises(ValueError):
+        generate_test_tensor((10, 2, 2), (5, 1, 1), 0)
 
 
 def test_spec_measurement_count_and_validation():
@@ -87,8 +90,17 @@ def test_spec_threshold_is_kept_as_given_and_must_be_positive():
         {"conv_tol": 0.0},
         {"rank": (1, 1)},
         {"shape": (3, 3, 3), "rank": (4, 1, 1)},
+        {"shape": (10, 2, 2), "rank": (5, 1, 1)},
     ],
-    ids=["variant", "format", "max_iters", "conv_tol", "rank-length", "hosvd-rank-above-extent"],
+    ids=[
+        "variant",
+        "format",
+        "max_iters",
+        "conv_tol",
+        "rank-length",
+        "hosvd-rank-above-extent",
+        "hosvd-rank-above-columns",
+    ],
 )
 def test_spec_validates_solver_fields_and_rank_when_built(bad):
     with pytest.raises(ValueError):

@@ -86,3 +86,19 @@ def test_ht_rank_other_than_one_int_is_a_value_error(rank):
     for call in calls:
         with pytest.raises(ValueError, match="one int"):
             call()
+
+
+@pytest.mark.parametrize("fmt", ["hosvd", "tt"])
+def test_int_hosvd_or_tt_rank_is_a_value_error(fmt):
+    # a HOSVD or TT rank has one int per mode set, read through clamp_ranks
+    A = draw("gaussian", (4, 4, 4), 32, 0)
+    y = A.apply(np.ones((4, 4, 4)))
+    calls = [
+        lambda: clamp_ranks(fmt, 1, (4, 4, 4)),
+        lambda: ExperimentSpec(shape=(4, 4, 4), rank=1, format=fmt, grid=(50,)),
+        lambda: tiht_run(A, y, SolverConfig(rank=1, format=fmt)),
+        lambda: trip_estimate(A, fmt, 1, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sequence of one int"):
+            call()

@@ -110,6 +110,13 @@ def test_rank_validation():
         tt_truncate(np.zeros(4), (1,))
 
 
+def test_draw_is_made_at_the_clamped_ranks():
+    # (9, 9) clamps to (3, 3) on a 3 x 3 x 3 tensor, and the draw uses that
+    for seed in range(3):
+        X = random_rank_r_tensor((3, 3, 3), "tt", (9, 9), [51, seed])
+        assert np.array_equal(X, random_rank_r_tensor((3, 3, 3), "tt", (3, 3), [51, seed]))
+
+
 def test_clamping_to_split_dimensions():
     rng = np.random.default_rng(49)
     X = rng.standard_normal((2, 3, 2))

@@ -13,8 +13,11 @@ tensor.  Off that balanced 10x10x10 HT path it saves HT draws and
 ``ht_truncate``'s ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
 real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
 ``degenerate(4)``, ``balanced(3)`` and the order-6 tree ``(((0, 1), 2), (3, (4, 5)))``,
-which is neither balanced nor degenerate.  ``compare`` prints how many arrays are
-identical and the worst relative difference, and exits 1 unless all are.
+which is neither balanced nor degenerate.  It also saves HOSVD and TT draws of
+``random_rank_r_tensor`` on the non-cubic shapes (4, 5, 3, 6) and (2, 3, 4), at
+three ranks each that the rank clamp leaves unchanged and three seeds.
+``compare`` prints how many arrays are identical and the worst relative
+difference, and exits 1 unless all are.
 """
 
 import sys
@@ -51,7 +54,7 @@ def dump(src: Path, out: str) -> None:
         A = tiht.measurements.draw(inst.ensemble, w.SHAPE, m, [inst.seed, 1])
         config = tiht.solvers.SolverConfig(rank=inst.solver_rank, format=inst.fmt, max_iters=w.RECOVER_CAP)
         record(inst.label, A, X0, config, w.THRESHOLDS[inst.ensemble])
-    arrays |= ht_arrays(tiht)
+    arrays |= ht_arrays(tiht) | draw_arrays(tiht)
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
 
@@ -74,6 +77,22 @@ def ht_arrays(tiht) -> dict:
                 arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
                 for S, U in D.blocks():
                     arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
+    return arrays
+
+
+def draw_arrays(tiht) -> dict:
+    cases = (
+        ((4, 5, 3, 6), "hosvd", ((1, 1, 1, 1), (2, 2, 2, 2), (4, 2, 3, 5))),
+        ((4, 5, 3, 6), "tt", ((1, 1, 1), (2, 2, 2), (3, 4, 5))),
+        ((2, 3, 4), "hosvd", ((1, 1, 1), (2, 2, 2), (2, 3, 4))),
+        ((2, 3, 4), "tt", ((1, 1), (2, 2), (2, 4))),
+    )
+    arrays = {}
+    for shape, fmt, ranks in cases:
+        for r in ranks:
+            for seed in range(3):
+                label = f"{fmt}/{'x'.join(map(str, shape))}/rank{''.join(map(str, r))}/seed{seed}"
+                arrays[f"{label}/draw"] = tiht.experiments.random_rank_r_tensor(shape, fmt, r, [2016, seed])
     return arrays
 
 
