@@ -6,60 +6,17 @@ formats (HOSVD, TT, HT) with successive-SVD truncation, three measurement
 ensembles (Gaussian, randomized Fourier, completion) with exact adjoints,
 the CTIHT/NTIHT solvers, a restricted-isometry/bounds layer, and a phase
 transition experiment harness with a CLI.
+
+The top level holds what a first run needs: a test tensor
+(``generate_test_tensor``), an ensemble (``draw``) and the solver
+(``tiht_run`` under a ``SolverConfig``).  Everything else lives in its
+submodule.
 """
 
-from .tensors import (
-    frobenius_norm,
-    inner_product,
-    matricize,
-    mode_product,
-    tensorize,
-    unvec,
-    vec,
-)
-from .formats import (
-    DegenerateTensorError,
-    DimensionTree,
-    HosvdDecomposition,
-    HTDecomposition,
-    TTDecomposition,
-    hosvd_truncate,
-    ht_truncate,
-    truncate,
-    tt_truncate,
-)
-from .measurements import (
-    CompletionEnsemble,
-    FourierEnsemble,
-    GaussianEnsemble,
-    draw,
-)
-from .solvers import (
-    RecoveryResult,
-    SolverConfig,
-    build_Mj,
-    ntiht_step_size,
-    tiht_run,
-)
-from .analysis import (
-    ConvergenceConstants,
-    TripEstimate,
-    convergence_constants,
-    covering_bound,
-    fourier_sample_complexity,
-    sample_complexity,
-    storage_count,
-    trip_estimate,
-)
-from .experiments import (
-    ExperimentSpec,
-    PhaseCell,
-    PhaseDiagram,
-    emit_results,
-    generate_test_tensor,
-    load_results,
-    run_phase_diagram,
-    run_single_trial,
-)
+from .experiments import generate_test_tensor
+from .measurements import draw
+from .solvers import SolverConfig, tiht_run
+
+__all__ = ["generate_test_tensor", "draw", "tiht_run", "SolverConfig"]
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ __all__ = [
     "covering_bound",
     "ConvergenceConstants",
     "convergence_constants",
-    "contraction_factor",
     "storage_count",
 ]
 
@@ -45,12 +44,6 @@ class TripEstimate:
     n_samples: int
     rank: object
     deviations: np.ndarray
-
-    def prefix(self, n: int) -> float:
-        """delta_hat over the first ``n`` samples (nondecreasing in n)."""
-        if not 1 <= n <= self.n_samples:
-            raise ValueError(f"need 1 <= n <= {self.n_samples}")
-        return float(np.max(self.deviations[:n]))
 
 
 def trip_estimate(
@@ -199,24 +192,6 @@ def convergence_constants(variant: str, a: float, delta3r: float, opnorm: float)
         eps_of_a=eps,
         b_of_a=b,
         error_horizon=(1.0 - a + b) / (1.0 - a),
-    )
-
-
-def contraction_factor(variant: str, a: float, delta3r: float, opnorm: float) -> float:
-    """Per-iteration contraction coefficient from the convergence proof.
-
-    CTIHT: 2 delta_3r + sqrt(4 eps + 2 eps^2) (1 + sqrt(1 + delta_3r) ||A||).
-    NTIHT replaces the first term by 2((1+delta)/(1-delta) - 1) and scales
-    the operator-norm part by 1/(1-delta).  Below delta(a) this is < a.
-    """
-    consts = convergence_constants(variant, a, delta3r, opnorm)
-    eps = consts.eps_of_a
-    root = math.sqrt(1.0 + delta3r)
-    tail = math.sqrt(4.0 * eps + 2.0 * eps**2)
-    if variant == "ctiht":
-        return 2.0 * delta3r + tail * (1.0 + root * opnorm)
-    return 2.0 * ((1.0 + delta3r) / (1.0 - delta3r) - 1.0) + tail * (
-        1.0 + root / (1.0 - delta3r) * opnorm
     )
 
 

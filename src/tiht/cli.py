@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 
 from . import analysis, experiments, measurements, solvers
-from .formats import FORMATS
+from .formats import FORMATS, mode_sets
 
 __all__ = ["main", "build_parser"]
 
@@ -57,7 +57,13 @@ def _default_grid() -> tuple[int, ...]:
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", type=_parse_shape, default=(10, 10, 10), help="tensor extents, e.g. 10x10x10")
-    p.add_argument("--rank", type=_parse_rank, default=(1, 1, 1), help="rank tuple, e.g. 1,1,1; one int for HT")
+    p.add_argument(
+        "--rank",
+        type=_parse_rank,
+        default=None,
+        help="rank tuple, e.g. 1,1,1 (HOSVD: one per mode, TT: one per prefix) or one int for HT;"
+        " default all ones, 1 for HT",
+    )
     p.add_argument("--format", choices=FORMATS, default="hosvd")
     p.add_argument("--ensemble", choices=measurements.ENSEMBLES, default="gaussian")
     p.add_argument("--seed", type=int, default=0)
@@ -71,6 +77,8 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_rank(args):
+    if args.rank is None:  # all ones, one per mode set of the format
+        return 1 if args.format == "ht" else (1,) * len(mode_sets(args.format, len(args.shape)))
     # an HT rank is one int, so --rank r means r; clamp_ranks rejects any other HT form
     return args.rank[0] if args.format == "ht" and len(args.rank) == 1 else args.rank
 

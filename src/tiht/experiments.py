@@ -36,7 +36,6 @@ __all__ = [
     "run_single_trial",
     "run_phase_diagram",
     "emit_results",
-    "load_results",
 ]
 
 DEFAULT_THRESHOLDS = {kind: 2.5e-3 if kind == "completion" else 1e-3 for kind in ENSEMBLES}
@@ -210,19 +209,8 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     return PhaseDiagram(spec=spec, cells=cells)
 
 
-# results-file columns in their fixed order, each with the converter that reads it back
-_COLUMNS = {
-    "type": str,
-    "shape": str,
-    "rank": str,
-    "variant": str,
-    "nbar": int,
-    "m": int,
-    "successes": int,
-    "trials": int,
-    "mean_iters": float,
-    "mean_error": float,
-}
+# results-file columns in their fixed order
+_COLUMNS = ("type", "shape", "rank", "variant", "nbar", "m", "successes", "trials", "mean_iters", "mean_error")
 
 
 def _rank_label(rank) -> str:
@@ -234,8 +222,7 @@ def _rank_label(rank) -> str:
 def emit_results(diagram: PhaseDiagram, path) -> None:
     """Write cells with the fixed column order, sorted by (variant, nbar).
 
-    A path ending in ``.json`` gets a JSON list of rows, any other path CSV,
-    the same choice :func:`load_results` makes.
+    A path ending in ``.json`` gets a JSON list of rows, any other path CSV.
     """
     if not diagram.cells:
         raise ValueError("nothing to emit: no cells")
@@ -261,19 +248,9 @@ def emit_results(diagram: PhaseDiagram, path) -> None:
                 json.dump(rows, fh, indent=2)
                 fh.write("\n")
             else:
-                writer = csv.DictWriter(fh, fieldnames=list(_COLUMNS))
+                writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
                 writer.writeheader()
                 writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
-
-def load_results(path) -> list[dict]:
-    """Parse a results file back into row dicts (numbers restored)."""
-    path = str(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = json.load(fh) if path.endswith(".json") else list(csv.DictReader(fh))
-    except OSError as exc:
-        raise OSError(f"cannot read results from {path}: {exc}") from exc
-    return [{name: convert(row[name]) for name, convert in _COLUMNS.items()} for row in rows]

@@ -3,7 +3,7 @@
 A format is a family of matricizations: its rank is the tuple of ranks of
 the unfoldings that put single modes (HOSVD), mode prefixes (TT) or the
 nodes of a dimension tree (HT) in the rows.  :mod:`.family` holds those mode
-sets with the rank clamp and the one rank probe all three share.  Each
+sets with the rank clamp and the draw-rank rule all three share.  Each
 format exposes a ``*_truncate`` operator computing a quasi-best rank-r
 approximation by successive SVDs over its family, a seeded ``*_random`` draw
 and a decomposition record that reconstructs back to a dense tensor.
@@ -15,13 +15,11 @@ import numpy as np
 
 from .family import (
     FORMATS,
-    DegenerateTensorError,
     DimensionTree,
     clamp_ranks,
     default_tree,
     draw_ranks,
     mode_sets,
-    probe_ranks,
 )
 from .hosvd import HosvdDecomposition, hosvd_random, hosvd_truncate
 from .ht import HTDecomposition, ht_random, ht_truncate
@@ -32,9 +30,7 @@ __all__ = [
     "mode_sets",
     "clamp_ranks",
     "draw_ranks",
-    "probe_ranks",
     "default_tree",
-    "DegenerateTensorError",
     "HosvdDecomposition",
     "TTDecomposition",
     "DimensionTree",

@@ -13,13 +13,9 @@ import math
 
 import numpy as np
 
-from ..tensors import as_tensor, check_shape, matricize
+from ..tensors import check_shape
 
 FORMATS = ("hosvd", "tt", "ht")
-
-
-class DegenerateTensorError(ValueError):
-    """Raised when an operation needs a nonzero tensor and got the zero tensor."""
 
 
 class DimensionTree:
@@ -155,31 +151,23 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
 
 
 def draw_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
-    """``clamp_ranks`` for a random draw.  The HOSVD draw is made at exactly
-    ``ranks``, so there the clamp must keep every rank."""
+    """``clamp_ranks`` for a random draw, which rejects a rank no draw reaches.
+
+    The HOSVD draw is made at exactly ``ranks``, so the clamp must keep every
+    rank, and each r_k must be at most prod_{j != k} r_j, the column count of
+    the core's mode-k unfolding.  The TT draw is made at the clamped ranks,
+    and each must be at most n_{k+1} r_{k+1} (with r_d = 1), the column count
+    of the next core's first flattening.  A uniform HT draw reaches the clamp.
+    """
     sets, r = clamp_ranks(fmt, ranks, shape, tree)
-    if fmt == "hosvd" and r != tuple(ranks):
-        raise ValueError(f"a HOSVD draw rank must lie in [1, min(n_k, N / n_k)], got {ranks} for shape {shape}")
+    if fmt == "hosvd":
+        total = math.prod(r)
+        if r != tuple(ranks) or any(v > total // v for v in r):
+            raise ValueError(
+                f"a HOSVD draw rank needs 1 <= r_k <= min(n_k, N / n_k, prod_(j != k) r_j), "
+                f"got {ranks} for shape {shape}"
+            )
+    if fmt == "tt" and any(v > n * w for v, n, w in zip(r, shape[1:], (*r[1:], 1))):
+        raise ValueError(f"a TT draw rank needs r_k <= n_(k+1) r_(k+1) with r_d = 1, got {ranks} (clamped {r}) for shape {shape}")
     return sets, r
 
-
-def probe_ranks(X, fmt: str, tree: DimensionTree | None = None) -> tuple[int, ...]:
-    """Numerical rank of the matricization of X for every mode set of the format.
-
-    The ranks follow ``mode_sets(fmt, X.ndim, tree)``; an HT probe therefore
-    has no entry for the root.  Raises :class:`DegenerateTensorError` for the
-    zero tensor.
-    """
-    X = as_tensor(X)
-    sets = mode_sets(fmt, X.ndim, tree)
-    if not np.any(X):
-        raise DegenerateTensorError("rank of the zero tensor is undefined")
-    ranks = []
-    for S in sets:
-        M = matricize(X, S)
-        s = np.linalg.svd(M, compute_uv=False)
-        # singular values above max(m, n) * eps * sigma_max; sigma_max > 0
-        # because X is nonzero, so every rank is at least 1
-        tol = max(M.shape) * np.finfo(np.float64).eps * s[0]
-        ranks.append(int(np.count_nonzero(s > tol)))
-    return tuple(ranks)

@@ -26,10 +26,6 @@ class HosvdDecomposition:
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return self.core.shape
-
     def reconstruct(self) -> np.ndarray:
         X = self.core
         for k, U in enumerate(self.factors):

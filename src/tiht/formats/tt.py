@@ -25,10 +25,6 @@ class TTDecomposition:
 
     cores: tuple[np.ndarray, ...]
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(G.shape[-1] for G in self.cores[:-1])
-
     def reconstruct(self) -> np.ndarray:
         X = self.cores[0]
         for G in self.cores[1:]:

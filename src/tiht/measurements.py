@@ -141,21 +141,6 @@ class FourierEnsemble(MeasurementEnsemble):
         G = np.fft.ifftn(unvec(T, self.shape)) * self.size  # F_d^H
         return self.signs * G / math.sqrt(self.m)
 
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit (m x N) matrix R_Omega F_d D / sqrt(m); test oracle for small N."""
-        N = self.size
-        F = np.empty((N, N), dtype=np.complex128)
-        grids = np.meshgrid(*[np.arange(n) for n in self.shape], indexing="ij")
-        flat_coords = [vec(g) for g in grids]
-        for row in range(N):
-            j = [c[row] for c in flat_coords]
-            phase = sum(
-                jl * kl / nl for jl, kl, nl in zip(j, flat_coords, self.shape)
-            )
-            F[row] = np.exp(-2j * np.pi * phase)
-        D = np.diag(vec(self.signs))
-        return (F @ D)[self.omega] / math.sqrt(self.m)
-
 
 class CompletionEnsemble(MeasurementEnsemble):
     """Entry sampling: y_j = sqrt(N/m) X(j) for j in the sample set."""

@@ -38,7 +38,6 @@ __all__ = [
     "RecoveryResult",
     "RankProjector",
     "build_Mj",
-    "ntiht_step_size",
     "tiht_run",
     "export_trace_csv",
 ]
@@ -170,18 +169,6 @@ def _mu_from_direction(A: MeasurementEnsemble, t: np.ndarray) -> tuple[float, bo
     if den == 0.0:
         return 1.0, True
     return num / den, False
-
-
-def ntiht_step_size(
-    A: MeasurementEnsemble, X_j: np.ndarray, y: np.ndarray, projector: RankProjector
-) -> tuple[float, bool]:
-    """Normalized step ||M(A*(r))||_F^2 / ||A(M(A*(r)))||_2^2 for r = y - A(X_j).
-
-    Returns (mu, fallback) where fallback marks a zero denominator, in which
-    case mu = 1 (the residual direction is in the kernel only at convergence).
-    """
-    g = A.adjoint(y - A.apply(X_j))
-    return _mu_from_direction(A, projector(g))
 
 
 def tiht_run(

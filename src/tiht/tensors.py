@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "check_shape",
     "as_tensor",
-    "field_of",
-    "common_field",
     "vec",
     "unvec",
     "check_modes",
@@ -28,7 +26,6 @@ __all__ = [
     "matricize",
     "tensorize",
     "mode_product",
-    "inner_product",
     "frobenius_norm",
 ]
 
@@ -44,19 +41,6 @@ def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     if any(n < 1 for n in dims):
         raise ValueError(f"all extents must be >= 1, got {dims}")
     return dims
-
-
-def field_of(X: np.ndarray) -> str:
-    """Return "complex" for complex dtypes, "real" otherwise."""
-    return "complex" if np.iscomplexobj(X) else "real"
-
-
-def common_field(X: np.ndarray, Y: np.ndarray) -> str:
-    """Fields of both operands; mixing real and complex is an error, not a coercion."""
-    fx, fy = field_of(X), field_of(Y)
-    if fx != fy:
-        raise ValueError(f"mixed scalar fields: {fx} vs {fy}")
-    return fx
 
 
 def as_tensor(data) -> np.ndarray:
@@ -155,17 +139,6 @@ def mode_product(X: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
     Y = np.dot(X.transpose(*range(k), *range(k + 1, d), k).reshape(-1, X.shape[k]), A.T)
     Y = Y.reshape(X.shape[:k] + X.shape[k + 1 :] + A.shape[:1])
     return Y.transpose(*range(k), d - 1, *range(k, d - 1))
-
-
-def inner_product(X: np.ndarray, Y: np.ndarray):
-    """Entrywise inner product; the first argument is conjugated in the complex case."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    if X.shape != Y.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    field = common_field(X, Y)
-    value = np.vdot(X, Y)
-    return value.real if field == "real" else value
 
 
 def frobenius_norm(X: np.ndarray) -> float:

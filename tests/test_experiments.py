@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import load_results, probe_ranks
 from tiht.experiments import (
     ExperimentSpec,
     emit_results,
     generate_test_tensor,
-    load_results,
     measurements_for,
     run_phase_diagram,
     run_single_trial,
 )
-from tiht.formats import probe_ranks
 
 
 def _small_spec(**overrides):

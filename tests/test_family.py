@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import probe_ranks
 from tiht.analysis import trip_estimate
 from tiht.experiments import ExperimentSpec
-from tiht.formats import DimensionTree, clamp_ranks, mode_sets
+from tiht.formats import DimensionTree, clamp_ranks, mode_sets, random_rank_r_tensor
 from tiht.measurements import draw
 from tiht.solvers import SolverConfig, tiht_run
 
@@ -102,3 +103,42 @@ def test_int_hosvd_or_tt_rank_is_a_value_error(fmt):
     for call in calls:
         with pytest.raises(ValueError, match="sequence of one int"):
             call()
+
+
+@pytest.mark.parametrize(
+    "fmt, shape, rank",
+    [
+        ("hosvd", (3, 3, 3), (3, 1, 1)),
+        ("hosvd", (4, 4, 4), (4, 2, 1)),
+        ("tt", (4, 2, 2), (4, 1)),
+        ("tt", (3, 3, 3, 3), (3, 9, 1)),
+    ],
+    ids=["hosvd-311", "hosvd-421", "tt-41", "tt-391"],
+)
+def test_draw_rejects_a_rank_it_cannot_reach(fmt, shape, rank):
+    # HOSVD: r_k > prod_{j != k} r_j, the columns of the core's mode-k
+    # unfolding; TT: a clamped r_k > n_{k+1} r_{k+1}, with r_d = 1
+    A = draw("gaussian", shape, 8, 0)
+    calls = [
+        lambda: random_rank_r_tensor(shape, fmt, rank, 0),
+        lambda: ExperimentSpec(shape=shape, rank=rank, format=fmt, grid=(50,)),
+        lambda: trip_estimate(A, fmt, rank, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="draw rank"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "fmt, shape, rank",
+    [
+        ("hosvd", (4, 4, 4), (4, 2, 2)),
+        ("hosvd", (2, 3, 4, 5), (2, 3, 4, 5)),
+        ("tt", (4, 2, 2), (4, 2)),
+        ("tt", (3, 3, 3, 3), (3, 3, 1)),
+    ],
+    ids=["hosvd-422", "hosvd-2345", "tt-42", "tt-331"],
+)
+def test_draw_reaches_a_rank_on_the_bound(fmt, shape, rank):
+    for seed in range(5):
+        assert probe_ranks(random_rank_r_tensor(shape, fmt, rank, seed), fmt) == rank

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import probe_ranks
 from tiht.experiments import random_rank_r_tensor
-from tiht.formats import DimensionTree, clamp_ranks, ht_truncate, probe_ranks
+from tiht.formats import DimensionTree, clamp_ranks, ht_truncate
 from tiht.tensors import frobenius_norm
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_fourier_matrix, inner_product
 from tiht.measurements import GaussianEnsemble, draw
-from tiht.tensors import frobenius_norm, inner_product, vec
+from tiht.tensors import frobenius_norm, vec
 
 SMALL_SHAPES = [(2,), (5,), (8,), (2, 2), (3, 4), (8, 8), (2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2), (2,) * 6]
 
@@ -94,7 +95,7 @@ def test_fourier_matches_dense_oracle_on_small_shapes():
         N = int(np.prod(shape))
         m = max(1, N // 2)
         A = draw("fourier", shape, m, seed=10)
-        dense = A.dense_matrix()
+        dense = dense_fourier_matrix(A)
         for _ in range(3):
             X = _random_tensor(rng, shape, complex_field=True)
             gap = np.max(np.abs(A.apply(X) - dense @ vec(X)))
@@ -107,7 +108,7 @@ def test_fourier_matches_dense_oracle_on_small_shapes():
 def test_fourier_dense_oracle_is_dft_kernel():
     # spot-check the oracle itself against the scalar formula on a 2x2 grid
     A = draw("fourier", (2, 2), 4, seed=11)
-    dense = A.dense_matrix()
+    dense = dense_fourier_matrix(A)
     eps = vec(A.signs)
     for row_pos, row_flat in enumerate(A.omega):
         j = np.unravel_index(row_flat, (2, 2), order="F")

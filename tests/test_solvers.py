@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import tiht.solvers
+from oracles import ntiht_step_size, probe_ranks
 from tiht.experiments import generate_test_tensor, random_rank_r_tensor
-from tiht.formats import DimensionTree, mode_sets, probe_ranks, truncate
+from tiht.formats import DimensionTree, mode_sets, truncate
 from tiht.measurements import GaussianEnsemble, draw
 from tiht.solvers import (
     RankProjector,
     SolverConfig,
     build_Mj,
     export_trace_csv,
-    ntiht_step_size,
     tiht_run,
 )
 from tiht.tensors import frobenius_norm

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import inner_product
 from tiht.tensors import (
     as_tensor,
     check_shape,
     frobenius_norm,
-    inner_product,
     matricize,
     mode_product,
     tensorize,
