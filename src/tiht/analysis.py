@@ -46,14 +46,7 @@ class TripEstimate:
     deviations: np.ndarray
 
 
-def trip_estimate(
-    A: MeasurementEnsemble,
-    fmt: str,
-    rank,
-    n_samples: int,
-    seed: int = 0,
-    tree=None,
-) -> TripEstimate:
+def trip_estimate(A: MeasurementEnsemble, fmt: str, rank, n_samples: int, seed: int = 0) -> TripEstimate:
     """Max isometry defect over seeded random unit-norm rank-r tensors.
 
     Per-sample seeds derive from the master seed, so a larger run shares its
@@ -63,9 +56,9 @@ def trip_estimate(
         raise ValueError("n_samples must be >= 1")
     deviations = np.empty(n_samples)
     for i in range(n_samples):
-        X = random_rank_r_tensor(A.shape, fmt, rank, [seed, i], tree)
-        X = X / frobenius_norm(X)
-        deviations[i] = abs(float(np.vdot(A.apply(X), A.apply(X)).real) - 1.0)
+        X = random_rank_r_tensor(A.shape, fmt, rank, [seed, i])
+        AX = A.apply(X / frobenius_norm(X))
+        deviations[i] = abs(float(np.vdot(AX, AX).real) - 1.0)
     return TripEstimate(
         delta_hat=float(np.max(deviations)),
         n_samples=n_samples,

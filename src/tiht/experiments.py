@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import DimensionTree, draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
+from .formats import draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
 from .measurements import ENSEMBLES, draw
 from .solvers import SolverConfig, tiht_run
 from .tensors import check_shape
@@ -64,7 +64,6 @@ class ExperimentSpec:
     ensemble: str = "gaussian"
     variant: str = "ntiht"
     format: str = "hosvd"
-    tree: DimensionTree | None = None
     grid: tuple[int, ...] = field(default_factory=tuple)
     trials: int = 50
     threshold: float | None = None
@@ -83,7 +82,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
         self.solver_config()  # validates variant, format, max_iters and conv_tol
-        draw_ranks(self.format, self.rank, self.shape, self.tree)  # validates the rank
+        draw_ranks(self.format, self.rank, self.shape)  # validates the rank
 
     def solver_config(self) -> SolverConfig:
         """The solver settings every trial of the sweep runs with."""
@@ -91,7 +90,6 @@ class ExperimentSpec:
             rank=self.rank,
             variant=self.variant,
             format=self.format,
-            tree=self.tree,
             max_iters=self.max_iters,
             conv_tol=self.conv_tol,
         )
@@ -147,9 +145,7 @@ def measurements_for(spec: ExperimentSpec, nbar: int, trial: int):
     replayable in isolation.  Completion and Fourier ensembles re-sample
     their index sets per trial.
     """
-    X0 = random_rank_r_tensor(
-        spec.shape, spec.format, spec.rank, [spec.seed, nbar, trial, 0], spec.tree
-    )
+    X0 = random_rank_r_tensor(spec.shape, spec.format, spec.rank, [spec.seed, nbar, trial, 0])
     A = draw(spec.ensemble, spec.shape, spec.m_of(nbar), [spec.seed, nbar, trial, 1])
     return X0, A, A.apply(X0)
 

@@ -4,15 +4,17 @@ A format is a family of matricizations: its rank is the tuple of ranks of
 the unfoldings that put single modes (HOSVD), mode prefixes (TT) or the
 nodes of a dimension tree (HT) in the rows.  :mod:`.family` holds those mode
 sets with the rank clamp and the draw-rank rule all three share.  Each
-format exposes a ``*_truncate`` operator computing a quasi-best rank-r
+format's module holds the kernel of its truncation H_r, a quasi-best rank-r
 approximation by successive SVDs over its family, a seeded ``*_random`` draw
 and a decomposition record that reconstructs back to a dense tensor.
+:func:`truncate` is the one entry to the kernels: they take clamped ranks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..tensors import as_tensor
 from .family import (
     FORMATS,
     DimensionTree,
@@ -35,23 +37,26 @@ __all__ = [
     "TTDecomposition",
     "DimensionTree",
     "HTDecomposition",
-    "hosvd_truncate",
-    "tt_truncate",
-    "ht_truncate",
     "truncate",
     "random_rank_r_tensor",
 ]
 
 
 def truncate(X, fmt: str, ranks, tree: DimensionTree | None = None):
-    """Dispatch to the format's rank-r truncation operator H_r."""
-    if fmt == "hosvd":
-        return hosvd_truncate(X, ranks)
-    if fmt == "tt":
-        return tt_truncate(X, ranks)
+    """The format's rank-r truncation operator H_r over ``tree`` (balanced by default, HT only).
+
+    The one checked entry: it clamps ``ranks`` once and hands the clamped
+    ranks to the format's kernel.
+    """
+    X = as_tensor(X)
     if fmt == "ht":
-        return ht_truncate(X, default_tree(tree, np.ndim(X)), ranks)
-    raise ValueError(f"unknown tensor format {fmt!r}")
+        tree = default_tree(tree, X.ndim)
+    _, r = clamp_ranks(fmt, ranks, X.shape, tree)  # rejects an unknown format
+    if fmt == "hosvd":
+        return hosvd_truncate(X, r)
+    if fmt == "tt":
+        return tt_truncate(X, r)
+    return ht_truncate(X, tree, r)
 
 
 def random_rank_r_tensor(shape, fmt: str, ranks, seed, tree: DimensionTree | None = None) -> np.ndarray:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import fix_svd_signs, top_left_bases
-from ..tensors import as_tensor, check_shape, matricize, mode_product
-from .family import clamp_ranks, draw_ranks
+from ..tensors import check_shape, matricize, mode_product
+from .family import draw_ranks
 
-__all__ = ["HosvdDecomposition", "hosvd_truncate", "hosvd_random"]
+__all__ = ["HosvdDecomposition", "hosvd_random"]
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,14 @@ class HosvdDecomposition:
         return [((k,), U) for k, U in enumerate(self.factors)]
 
 
-def hosvd_truncate(X, ranks) -> HosvdDecomposition:
+def hosvd_truncate(X: np.ndarray, ranks) -> HosvdDecomposition:
     """The truncation operator H_r: keep the top r_k left singular vectors per mode.
 
-    Quasi-optimal: the error is within sqrt(d) of the best rank-r
-    approximation error.
+    Takes an array and the ranks ``clamp_ranks`` returns; ``formats.truncate``
+    is the entry point that checks them.  Quasi-optimal: the error is within
+    sqrt(d) of the best rank-r approximation error.
     """
-    X = as_tensor(X)
-    sets, r = clamp_ranks("hosvd", ranks, X.shape)
-    factors = tuple(top_left_bases([matricize(X, S) for S in sets], r))
+    factors = tuple(top_left_bases([matricize(X, (k,)) for k in range(X.ndim)], ranks))
     core = X
     for k, U in enumerate(factors):
         core = mode_product(core, U.conj().T, k)

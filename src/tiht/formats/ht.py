@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import top_left_bases
-from ..tensors import as_tensor, check_shape, matricize, tensorize, unvec
-from .family import DimensionTree, clamp_ranks, default_tree, draw_ranks
+from ..tensors import check_shape, matricize, tensorize, unvec
+from .family import DimensionTree, default_tree, draw_ranks
 from .hosvd import hosvd_truncate
 
-__all__ = ["HTDecomposition", "ht_truncate", "ht_random"]
+__all__ = ["HTDecomposition", "ht_random"]
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,18 @@ class HTDecomposition:
         return list(self._frames(self.tree.sets).items())
 
 
-def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
+def ht_truncate(X: np.ndarray, tree: DimensionTree, ranks) -> HTDecomposition:
     """Leaves-to-root truncation via successive SVDs of the shrinking core.
 
+    Takes an array and the node ranks ``clamp_ranks`` returns, one per node of
+    ``tree.sets``; ``formats.truncate`` is the entry point that checks them.
     Leaf frames come from the mode-k unfoldings of X; every interior node then
     truncates the current reduced core's matricization that groups its two
-    sons, in ``mode_sets`` order, sons before fathers.  The error is within
+    sons, in ``tree.sets`` order, sons before fathers.  The error is within
     (2 + sqrt(2)) * sqrt(d) of the best rank-r approximation error.
     """
-    X = as_tensor(X)
     dims = X.shape
-    sets, clamped = clamp_ranks("ht", ranks, dims, tree)
-    r = dict(zip(sets, clamped))
+    r = dict(zip(tree.sets, ranks))
 
     leaves = hosvd_truncate(X, [r[(k,)] for k in range(X.ndim)])
     frames = dict(enumerate(leaves.factors))
@@ -80,7 +80,7 @@ def ht_truncate(X, tree: DimensionTree, ranks) -> HTDecomposition:
 
     active = [(i,) for i in range(X.ndim)]
     transfers = {}
-    for node in (S for S in sets if len(S) > 1):
+    for node in (S for S in tree.sets if len(S) > 1):
         p = active.index(tree.children[node][0])
         r1, r2 = C.shape[p], C.shape[p + 1]
         M = matricize(C, (p, p + 1))

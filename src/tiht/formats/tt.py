@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import signed_svd
-from ..tensors import as_tensor, check_shape, matricize
-from .family import clamp_ranks, draw_ranks
+from ..tensors import check_shape, matricize
+from .family import draw_ranks
 
-__all__ = ["TTDecomposition", "tt_truncate", "tt_random"]
+__all__ = ["TTDecomposition", "tt_random"]
 
 
 @dataclass(frozen=True)
@@ -48,20 +48,18 @@ class TTDecomposition:
         return out
 
 
-def tt_truncate(X, ranks) -> TTDecomposition:
+def tt_truncate(X: np.ndarray, ranks) -> TTDecomposition:
     """TT-SVD: successive truncated SVDs of the {1,2}-flattened remainders.
 
-    The error is within sqrt(d-1) of the best TT rank-r approximation error.
+    Takes an array and the ranks ``clamp_ranks`` returns; ``formats.truncate``
+    is the entry point that checks them.  The error is within sqrt(d-1) of the
+    best TT rank-r approximation error.
     """
-    X = as_tensor(X)
     dims = X.shape
-    d = X.ndim
-    _, r = clamp_ranks("tt", ranks, dims)
-
     cores = []
     M = matricize(X, (0,))  # n_1 x (n_2 ... n_d)
     prev = 1
-    for k, rk in enumerate(r):
+    for k, rk in enumerate(ranks):
         rows = prev * dims[k]
         A = M.reshape(rows, -1, order="F")
         U, s, Vt = signed_svd(A)

@@ -48,12 +48,11 @@ VARIANTS = ("ctiht", "ntiht")
 
 @dataclass
 class SolverConfig:
-    """Variant, format, target rank and stopping parameters for one run."""
+    """Variant, format, target rank and stopping parameters for one run; HT runs use the balanced tree."""
 
     rank: object
     variant: str = "ntiht"
     format: str = "hosvd"
-    tree: DimensionTree | None = None
     max_iters: int = 5000
     conv_tol: float = 1e-4
     initial: np.ndarray | None = None
@@ -209,7 +208,7 @@ def tiht_run(
             g = A.adjoint(resid)
             if ntiht:
                 if D is None:
-                    projector = build_Mj(config.format, X, config.rank, config.tree)
+                    projector = build_Mj(config.format, X, config.rank)
                 else:
                     projector = RankProjector(X.shape, D.blocks())
                 mu, fallback = _mu_from_direction(A, projector(g))
@@ -226,7 +225,7 @@ def tiht_run(
                 diverged = not np.all(np.isfinite(Y))
                 if diverged:
                     break
-                D = truncate(Y, config.format, config.rank, config.tree)
+                D = truncate(Y, config.format, config.rank)
                 X_next = D.reconstruct()
                 if not ntiht:
                     break

@@ -18,7 +18,7 @@ from tiht.analysis import (
     trip_estimate,
 )
 from tiht.experiments import ExperimentSpec, generate_test_tensor, random_rank_r_tensor, run_phase_diagram
-from tiht.formats import DimensionTree, hosvd_truncate, ht_truncate, tt_truncate
+from tiht.formats import DimensionTree, truncate
 from tiht.measurements import GaussianEnsemble, draw
 from tiht.solvers import build_Mj
 from tiht.tensors import frobenius_norm, matricize, mode_product, tensorize, vec
@@ -83,14 +83,14 @@ def test_criterion_5_quasi_optimality_suites():
     for seed in range(100):
         rng = np.random.default_rng([MASTER_SEED, 5, seed])
         X = rng.standard_normal((5, 5, 5))
-        err = frobenius_norm(X - hosvd_truncate(X, (2, 2, 2)).reconstruct())
+        err = frobenius_norm(X - truncate(X, "hosvd", (2, 2, 2)).reconstruct())
         Z = generate_test_tensor((5, 5, 5), (2, 2, 2), seed=[MASTER_SEED, 51, seed])
         if err > math.sqrt(3) * frobenius_norm(X - Z) + 1e-10:
             violations["hosvd"] += 1
     for seed in range(100):
         rng = np.random.default_rng([MASTER_SEED, 52, seed])
         X = rng.standard_normal((4, 4, 4))
-        err = frobenius_norm(X - tt_truncate(X, (2, 2)).reconstruct())
+        err = frobenius_norm(X - truncate(X, "tt", (2, 2)).reconstruct())
         Z = random_rank_r_tensor((4, 4, 4), "tt", (2, 2), np.random.default_rng([MASTER_SEED, 53, seed]))
         if err > math.sqrt(2) * frobenius_norm(X - Z) + 1e-10:
             violations["tt"] += 1
@@ -99,7 +99,7 @@ def test_criterion_5_quasi_optimality_suites():
     for seed in range(100):
         rng = np.random.default_rng([MASTER_SEED, 54, seed])
         X = rng.standard_normal((3, 3, 3, 3))
-        err = frobenius_norm(X - ht_truncate(X, tree, 1).reconstruct())
+        err = frobenius_norm(X - truncate(X, "ht", 1, tree).reconstruct())
         Z = random_rank_r_tensor((3, 3, 3, 3), "ht", 1, np.random.default_rng([MASTER_SEED, 55, seed]), tree)
         if err > bound * frobenius_norm(X - Z) + 1e-10:
             violations["ht"] += 1

@@ -12,7 +12,6 @@ from tiht.analysis import (
     storage_count,
     trip_estimate,
 )
-from tiht.formats import DimensionTree
 from tiht.measurements import GaussianEnsemble, draw
 
 
@@ -48,11 +47,18 @@ def test_trip_deterministic_and_prefix_monotone():
     assert trip_prefix(bigger, 40) == e1.delta_hat
 
 
+def test_trip_measures_each_sample_once(monkeypatch):
+    A = draw("gaussian", (5, 5, 5), 20, seed=1)
+    apply, calls = A.apply, []
+    monkeypatch.setattr(A, "apply", lambda X: calls.append(1) or apply(X))
+    trip_estimate(A, "hosvd", (1, 1, 1), 40)
+    assert len(calls) == 40
+
+
 def test_trip_runs_for_tt_and_ht_models():
     A = draw("gaussian", (4, 4, 4, 4), 60, seed=3)
-    tree = DimensionTree.balanced(4)
     for fmt, rank in (("tt", (2, 2, 2)), ("ht", 2)):
-        est = trip_estimate(A, fmt, rank, 10, seed=4, tree=tree)
+        est = trip_estimate(A, fmt, rank, 10, seed=4)
         assert est.delta_hat >= 0
 
 

@@ -29,6 +29,13 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_truncation_kernels_are_reached_through_truncate():
+    # the kernels take clamped ranks; formats.truncate is the one checked entry
+    kernels = {"hosvd_truncate", "tt_truncate", "ht_truncate"}
+    for name in ("formats", "formats.hosvd", "formats.tt", "formats.ht"):
+        assert kernels.isdisjoint(importlib.import_module(f"tiht.{name}").__all__), name
+
+
 def test_top_level_binds_exactly_its_all():
     # the quick start's names; everything else is reached through its submodule
     public = {n for n, v in vars(tiht).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from oracles import probe_ranks
 from tiht.analysis import trip_estimate
 from tiht.experiments import ExperimentSpec
-from tiht.formats import DimensionTree, clamp_ranks, mode_sets, random_rank_r_tensor
+from tiht.formats import DimensionTree, clamp_ranks, mode_sets, random_rank_r_tensor, truncate
 from tiht.measurements import draw
 from tiht.solvers import SolverConfig, tiht_run
 
@@ -71,6 +73,21 @@ def test_family_mode_sets_clamp_and_rank_validation(shape, fmt, tree, sets, rank
     for bad_ranks, bad_tree in bad:
         with pytest.raises(ValueError):
             clamp_ranks(fmt, bad_ranks, shape, bad_tree or tree)
+
+
+def test_one_ht_truncation_clamps_its_rank_once(monkeypatch):
+    # the HT leaf step hands its clamped leaf ranks straight to the HOSVD kernel
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return clamp_ranks(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tiht") and getattr(module, "clamp_ranks", None) is clamp_ranks:
+            monkeypatch.setattr(module, "clamp_ranks", counting)
+    truncate(np.random.default_rng(59).standard_normal((4, 4, 4)), "ht", 2)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("rank", [(1, 1, 1), [2], {(0, 2): 1, (2, 3): 1, (0, 1): 1, (1, 2): 1}])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import DegenerateTensorError, hosvd_ranks, inner_product, probe_ranks
-from tiht.formats import hosvd_truncate
+from tiht.formats import truncate
 from tiht.experiments import generate_test_tensor
 from tiht.tensors import frobenius_norm
 
@@ -22,7 +22,7 @@ def test_decompose_rank_one_tensor():
     v = np.array([1.0, 1.0, 1.0])
     w = np.array([2.0, 0.0])
     X = np.einsum("i,j,k->ijk", u, v, w)
-    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
+    D = truncate(X, "hosvd", probe_ranks(X, "hosvd"))
     assert hosvd_ranks(D) == (1, 1, 1)
     weight = np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(w)
     assert np.isclose(abs(D.core[0, 0, 0]), weight)
@@ -34,7 +34,7 @@ def test_decompose_rank_one_tensor():
 
 def test_decompose_diagonal_example_ranks_and_slice_norms():
     X = _diag_weight_tensor()
-    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
+    D = truncate(X, "hosvd", probe_ranks(X, "hosvd"))
     assert hosvd_ranks(D) == (2, 2, 2)
     # mode-k subtensor norms of the core are the ordered singular values (2, 1)
     for k in range(3):
@@ -47,14 +47,14 @@ def test_decompose_diagonal_example_ranks_and_slice_norms():
 def test_decompose_reconstructs_random_tensor():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 4, 4))
-    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
+    D = truncate(X, "hosvd", probe_ranks(X, "hosvd"))
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
 
 def test_decompose_invariants():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((4, 5, 6))
-    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
+    D = truncate(X, "hosvd", probe_ranks(X, "hosvd"))
     C = D.core
     for k, U in enumerate(D.factors):
         gram = U.T @ U
@@ -70,7 +70,7 @@ def test_decompose_invariants():
 def test_decompose_zero_tensor_degenerate():
     X = np.zeros((2, 2, 2))
     with pytest.raises(DegenerateTensorError):
-        hosvd_truncate(X, probe_ranks(X, "hosvd"))
+        truncate(X, "hosvd", probe_ranks(X, "hosvd"))
     with pytest.raises(DegenerateTensorError):
         probe_ranks(np.zeros((2, 2)), "hosvd")
 
@@ -78,12 +78,12 @@ def test_decompose_zero_tensor_degenerate():
 def test_truncate_fixes_exact_rank_tensors():
     for seed in range(5):
         X = generate_test_tensor((6, 5, 4), (2, 2, 2), seed=seed)
-        D = hosvd_truncate(X, (2, 2, 2))
+        D = truncate(X, "hosvd", (2, 2, 2))
         assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
 
 def test_truncate_diagonal_example_keeps_heavy_term():
-    D = hosvd_truncate(_diag_weight_tensor(), (1, 1, 1))
+    D = truncate(_diag_weight_tensor(), "hosvd", (1, 1, 1))
     R = D.reconstruct()
     expected = np.zeros((3, 3, 3))
     expected[1, 1, 1] = 2.0
@@ -94,14 +94,14 @@ def test_truncate_diagonal_example_keeps_heavy_term():
 def test_truncate_output_rank_bounded():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((5, 5, 5))
-    D = hosvd_truncate(X, (2, 3, 1))
+    D = truncate(X, "hosvd", (2, 3, 1))
     assert probe_ranks(D.reconstruct(), "hosvd") <= (2, 3, 1)
 
 
 def test_truncate_clamps_oversized_ranks():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((2, 3, 4))
-    D = hosvd_truncate(X, (9, 9, 9))
+    D = truncate(X, "hosvd", (9, 9, 9))
     assert hosvd_ranks(D) == (2, 3, 4)
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
@@ -113,7 +113,7 @@ def test_quasi_optimality_sqrt_d_on_seeded_trials():
     for seed in range(100):
         rng = np.random.default_rng([21, seed])
         X = rng.standard_normal((5, 5, 5))
-        err_hr = frobenius_norm(X - hosvd_truncate(X, r).reconstruct())
+        err_hr = frobenius_norm(X - truncate(X, "hosvd", r).reconstruct())
         Z = generate_test_tensor((5, 5, 5), r, seed=[22, seed])
         err_z = frobenius_norm(X - Z)
         if err_hr > math.sqrt(3) * err_z + 1e-10:
@@ -127,7 +127,7 @@ def test_error_contractive_in_rank():
         X = rng.standard_normal((5, 5, 5))
         chain = [(1, 1, 1), (1, 2, 2), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
         errors = [
-            frobenius_norm(X - hosvd_truncate(X, r).reconstruct()) for r in chain
+            frobenius_norm(X - truncate(X, "hosvd", r).reconstruct()) for r in chain
         ]
         for bigger, smaller in zip(errors[1:], errors[:-1]):
             assert bigger <= smaller + 1e-12
@@ -145,7 +145,7 @@ def test_rank_of_separable_and_generic_sum():
 def test_storage_matches_parameter_count():
     # a rank-r HOSVD of an n-cube stores r^d + sum n r scalars
     X = generate_test_tensor((10, 10, 10), (2, 2, 2), seed=3)
-    D = hosvd_truncate(X, (2, 2, 2))
+    D = truncate(X, "hosvd", (2, 2, 2))
     stored = D.core.size + sum(U.size for U in D.factors)
     assert stored == 2**3 + 3 * 10 * 2
 
@@ -153,7 +153,7 @@ def test_storage_matches_parameter_count():
 def test_complex_truncation_roundtrip():
     rng = np.random.default_rng(33)
     X = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
-    D = hosvd_truncate(X, probe_ranks(X, "hosvd"))
+    D = truncate(X, "hosvd", probe_ranks(X, "hosvd"))
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
     for U in D.factors:
         assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) < 1e-10

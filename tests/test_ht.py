@@ -5,7 +5,7 @@ import pytest
 
 from oracles import probe_ranks
 from tiht.experiments import random_rank_r_tensor
-from tiht.formats import DimensionTree, clamp_ranks, ht_truncate
+from tiht.formats import DimensionTree, clamp_ranks, truncate
 from tiht.tensors import frobenius_norm
 
 
@@ -42,7 +42,7 @@ def test_exact_rank_roundtrip():
     tree = DimensionTree.balanced(4)
     for seed in range(5):
         X = random_rank_r_tensor((3, 4, 3, 2), "ht", 2, np.random.default_rng([50, seed]), tree)
-        D = ht_truncate(X, tree, 2)
+        D = truncate(X, "ht", 2, tree)
         assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
 
@@ -51,7 +51,7 @@ def test_separable_tensor_rank_one_exact():
     us = [rng.standard_normal(n) for n in (3, 4, 5, 2)]
     X = np.einsum("i,j,k,l->ijkl", *us)
     tree = DimensionTree.balanced(4)
-    D = ht_truncate(X, tree, 1)
+    D = truncate(X, "ht", 1, tree)
     assert frobenius_norm(D.reconstruct() - X) <= 1e-10 * frobenius_norm(X)
 
 
@@ -59,7 +59,7 @@ def test_truncation_bounds_node_ranks():
     rng = np.random.default_rng(52)
     X = rng.standard_normal((3, 3, 3, 3))
     tree = DimensionTree.balanced(4)
-    D = ht_truncate(X, tree, 2)
+    D = truncate(X, "ht", 2, tree)
     assert all(r <= 2 for r in probe_ranks(D.reconstruct(), "ht", tree))
 
 
@@ -67,7 +67,7 @@ def test_leaf_frames_orthonormal():
     rng = np.random.default_rng(53)
     X = rng.standard_normal((3, 4, 5))
     tree = DimensionTree.balanced(3)
-    D = ht_truncate(X, tree, 2)
+    D = truncate(X, "ht", 2, tree)
     for U in D.frames.values():
         assert np.linalg.norm(U.T @ U - np.eye(U.shape[1])) < 1e-10
 
@@ -80,7 +80,7 @@ def test_quasi_optimality_on_seeded_trials():
     for seed in range(50):
         rng = np.random.default_rng([54, seed])
         X = rng.standard_normal((3, 3, 3, 3))
-        err_hr = frobenius_norm(X - ht_truncate(X, tree, 1).reconstruct())
+        err_hr = frobenius_norm(X - truncate(X, "ht", 1, tree).reconstruct())
         Z = random_rank_r_tensor((3, 3, 3, 3), "ht", 1, np.random.default_rng([55, seed]), tree)
         err_z = frobenius_norm(X - Z)
         if err_hr > bound * err_z + 1e-10:
@@ -94,7 +94,7 @@ def test_error_contractive_in_rank():
         rng = np.random.default_rng([56, seed])
         X = rng.standard_normal((3, 3, 3, 3))
         errors = [
-            frobenius_norm(X - ht_truncate(X, tree, r).reconstruct()) for r in (1, 2, 3)
+            frobenius_norm(X - truncate(X, "ht", r, tree).reconstruct()) for r in (1, 2, 3)
         ]
         for bigger, smaller in zip(errors[1:], errors[:-1]):
             assert bigger <= smaller + 1e-12
@@ -108,10 +108,10 @@ def test_rank_clamping_and_tree_order():
     clamped = dict(zip(sets, ranks))
     assert clamped[(0,)] == 4  # the leaf dimension
     assert clamped[(0, 1)] == 4  # 16 rows but 4 columns
-    D = ht_truncate(X, tree, 99)
+    D = truncate(X, "ht", 99, tree)
     assert D.transfers[tree.root].shape[0] == 1
     with pytest.raises(ValueError):
-        ht_truncate(X, DimensionTree.balanced(4), 2)
+        truncate(X, "ht", 2, DimensionTree.balanced(4))
 
 
 def _clamp_cases():
@@ -124,7 +124,7 @@ def _clamp_cases():
 
 @pytest.mark.parametrize("shape, name, field", list(_clamp_cases()))
 def test_clamped_ranks_are_the_truncation_ranks(shape, name, field):
-    # clamp_ranks is ht_truncate's only rank clamp, so for every int rank the
+    # clamp_ranks is the only rank clamp of an HT truncate, so for every int rank the
     # node frames must come out exactly as wide as the clamp says
     tree = getattr(DimensionTree, name)(len(shape))
     rng = np.random.default_rng([58, len(shape), sum(shape)])
@@ -132,7 +132,7 @@ def test_clamped_ranks_are_the_truncation_ranks(shape, name, field):
     if field == "complex":
         X = X + 1j * rng.standard_normal(shape)
     for r in range(1, 10):
-        widths = tuple(U.shape[1] for _, U in ht_truncate(X, tree, r).blocks())
+        widths = tuple(U.shape[1] for _, U in truncate(X, "ht", r, tree).blocks())
         assert clamp_ranks("ht", r, shape, tree)[1] == widths, r
 
 

@@ -16,9 +16,8 @@ from tiht.formats import (
     DimensionTree,
     HTDecomposition,
     clamp_ranks,
-    hosvd_truncate,
-    ht_truncate,
     mode_sets,
+    truncate,
 )
 from tiht.tensors import matricize, mode_product, unvec
 
@@ -102,7 +101,7 @@ def test_hosvd_truncate_is_one_svd_per_mode_bit_for_bit(shape, field):
     rng = np.random.default_rng(11)
     X = _random(rng, shape, field)
     ranks = (2, 1, 3, 2)[: len(shape)]  # unequal ranks within one group of equal unfoldings
-    D = hosvd_truncate(X, ranks)
+    D = truncate(X, "hosvd", ranks)
     core = X
     for k, (U, r) in enumerate(zip(D.factors, ranks)):
         M = matricize(X, (k,))
@@ -163,7 +162,7 @@ def test_ht_walks_are_the_recursive_walks_bit_for_bit(name):
         draw = random_rank_r_tensor(shape, "ht", r, [12, r], tree)
         assert np.array_equal(draw, _recursive_reconstruct(_recursive_ht_draw(shape, r, [12, r], tree))), r
         for field in ("real", "complex"):
-            D = ht_truncate(_random(rng, shape, field), tree, r)
+            D = truncate(_random(rng, shape, field), "ht", r, tree)
             assert np.array_equal(D.reconstruct(), _recursive_reconstruct(D)), (r, field)
             known = {}
             blocks = D.blocks()

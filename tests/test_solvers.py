@@ -228,7 +228,7 @@ def test_solver_runs_all_formats():
     for fmt, rank in (("hosvd", (1, 1, 1)), ("tt", (1, 1)), ("ht", 1)):
         X0 = random_rank_r_tensor((6, 6, 6), fmt, rank, np.random.default_rng([20, fmt == "tt"]), tree)
         A = draw("gaussian", (6, 6, 6), 70, seed=21)
-        cfg = SolverConfig(rank=rank, format=fmt, tree=tree if fmt == "ht" else None, variant="ntiht")
+        cfg = SolverConfig(rank=rank, format=fmt, variant="ntiht")
         res = tiht_run(A, A.apply(X0), cfg, X_ref=X0, success_threshold=1e-3)
         assert res.success, fmt
 

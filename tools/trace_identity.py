@@ -10,7 +10,7 @@ seed 2016 of each sweep cell, with the cell's iteration cap, and every
 cap 100.  Per run it saves ``mus``, ``residuals``, ``step_norms``,
 ``eps_ratios``, per-iteration ``retries``, ``stop_reason`` and the final
 tensor.  Off that balanced 10x10x10 HT path it saves HT draws and
-``ht_truncate``'s ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
+``truncate``'s ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
 real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
 ``degenerate(4)``, ``balanced(3)`` and the order-6 tree ``(((0, 1), 2), (3, (4, 5)))``,
 which is neither balanced nor degenerate.  It also saves HOSVD and TT draws of
@@ -73,7 +73,7 @@ def ht_arrays(tiht) -> dict:
             arrays[f"{label}/draw"] = tiht.experiments.random_rank_r_tensor(shape, "ht", r, [2016, r], tree)
             for field in ("real", "complex"):
                 X = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
-                D = tiht.formats.ht_truncate(X, tree, r)
+                D = tiht.formats.truncate(X, "ht", r, tree)
                 arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
                 for S, U in D.blocks():
                     arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
