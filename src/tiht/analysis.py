@@ -42,15 +42,15 @@ class TripEstimate:
 
     delta_hat: float
     n_samples: int
-    rank: object
     deviations: np.ndarray
 
 
 def trip_estimate(A: MeasurementEnsemble, fmt: str, rank, n_samples: int, seed: int = 0) -> TripEstimate:
     """Max isometry defect over seeded random unit-norm rank-r tensors.
 
-    Per-sample seeds derive from the master seed, so a larger run shares its
-    sample prefix with a smaller one.
+    Sample i is drawn from ``[seed, i]``, so a larger run shares its sample
+    prefix with a smaller one.  numpy pads seed lists with zeros, so an
+    ensemble drawn from ``seed`` itself would share sample 0's stream.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -59,12 +59,7 @@ def trip_estimate(A: MeasurementEnsemble, fmt: str, rank, n_samples: int, seed: 
         X = random_rank_r_tensor(A.shape, fmt, rank, [seed, i])
         AX = A.apply(X / frobenius_norm(X))
         deviations[i] = abs(float(np.vdot(AX, AX).real) - 1.0)
-    return TripEstimate(
-        delta_hat=float(np.max(deviations)),
-        n_samples=n_samples,
-        rank=rank,
-        deviations=deviations,
-    )
+    return TripEstimate(delta_hat=float(np.max(deviations)), n_samples=n_samples, deviations=deviations)
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,8 @@ def _cmd_phase(args) -> int:
 
 def _cmd_trip(args) -> int:
     rank = _solver_rank(args)
-    A = measurements.draw(args.ensemble, args.shape, args.m, args.seed)
+    # sample i takes [seed, i]; numpy pads seed lists with zeros, so `seed` alone is sample 0's stream
+    A = measurements.draw(args.ensemble, args.shape, args.m, [args.seed, 0, 1])
     est = analysis.trip_estimate(A, args.format, rank, args.samples, seed=args.seed)
     _emit(
         {

@@ -78,6 +78,8 @@ class ExperimentSpec:
             raise ValueError("grid percentages must lie in 1..100")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
@@ -93,9 +95,6 @@ class ExperimentSpec:
             max_iters=self.max_iters,
             conv_tol=self.conv_tol,
         )
-
-    def m_of(self, nbar: int) -> int:
-        return measurement_count(self.shape, nbar)
 
 
 @dataclass
@@ -146,7 +145,7 @@ def measurements_for(spec: ExperimentSpec, nbar: int, trial: int):
     their index sets per trial.
     """
     X0 = random_rank_r_tensor(spec.shape, spec.format, spec.rank, [spec.seed, nbar, trial, 0])
-    A = draw(spec.ensemble, spec.shape, spec.m_of(nbar), [spec.seed, nbar, trial, 1])
+    A = draw(spec.ensemble, spec.shape, measurement_count(spec.shape, nbar), [spec.seed, nbar, trial, 1])
     return X0, A, A.apply(X0)
 
 
@@ -155,11 +154,6 @@ def run_single_trial(spec: ExperimentSpec, nbar: int, trial: int):
     X0, A, y = measurements_for(spec, nbar, trial)
     result = tiht_run(A, y, spec.solver_config(), X_ref=X0, success_threshold=spec.threshold)
     return bool(result.success), result.iterations, float(result.final_error)
-
-
-def _trial_task(args):
-    spec, nbar, trial = args
-    return run_single_trial(spec, nbar, trial)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -181,11 +175,11 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     workers = resolve_workers(workers)
     tasks = [(spec, nbar, t) for nbar in spec.grid for t in range(spec.trials)]
     if workers == 1 or len(tasks) == 1:
-        outcomes = [_trial_task(t) for t in tasks]
+        outcomes = [run_single_trial(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))
+            outcomes = list(pool.map(run_single_trial, *zip(*tasks), chunksize=chunk))
 
     cells = []
     idx = 0
@@ -195,7 +189,7 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
         cells.append(
             PhaseCell(
                 nbar=nbar,
-                m=spec.m_of(nbar),
+                m=measurement_count(spec.shape, nbar),
                 successes=sum(1 for ok, _, _ in batch if ok),
                 trials=spec.trials,
                 mean_iterations=float(np.mean([it for _, it, _ in batch])),

@@ -19,7 +19,7 @@ FORMATS = ("hosvd", "tt", "ht")
 
 
 class DimensionTree:
-    """Binary tree over modes 0..d-1 given as nested (left, right) pairs of modes.
+    """Binary tree over modes 0..d-1, d >= 2, given as nested (left, right) pairs of modes.
 
     ``children`` maps every interior node to its (left, right) sons, and
     ``sets`` lists the non-root nodes deepest level first, then by modes:
@@ -50,6 +50,8 @@ class DimensionTree:
             return node
 
         self.root = parse(nested, 0)
+        if len(self.root) < 2:
+            raise ValueError("a dimension tree needs order >= 2")
         if self.root[0] != 0:
             raise ValueError("tree must cover modes starting at 0")
         self.order = len(self.root)
@@ -59,11 +61,9 @@ class DimensionTree:
     @classmethod
     def balanced(cls, order: int) -> "DimensionTree":
         """Default tree: split the mode interval in half recursively (left-heavy)."""
-        if order < 2:
-            raise ValueError("a dimension tree needs order >= 2")
 
         def split(lo, hi):
-            if hi - lo == 1:
+            if hi - lo <= 1:
                 return lo
             mid = lo + (hi - lo + 1) // 2
             return (split(lo, mid), split(mid, hi))

@@ -5,8 +5,10 @@ Three ensembles: dense Gaussian (entries N(0, 1/m)), randomized Fourier
 replacement, all scaled by 1/sqrt(m)), and entry sampling for completion
 (scaled by sqrt(N/m)).  All are normalized so that E||A(X)||^2 = ||X||_F^2.
 
-Ensembles are immutable after :func:`draw`; ``apply``/``adjoint`` are pure.
-An ensemble is never stored: it is re-drawn from ``draw(kind, shape, m, seed)``.
+Every ensemble but an explicit Gaussian matrix comes from
+``draw(kind, shape, m, seed)``; the Fourier and completion constructors take
+``(shape, m, seed)`` themselves.  Ensembles are immutable and never stored,
+only re-drawn from their seed; ``apply``/``adjoint`` are pure.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ class MeasurementEnsemble:
     def field(self) -> str:
         return "real"
 
-    def _check_sample_set(self, omega: np.ndarray) -> None:
-        """The m sampled flat indices must be distinct, so m cannot exceed the tensor size."""
+    def _draw_sample_set(self, rng) -> np.ndarray:
+        """m distinct flat indices drawn uniformly without replacement."""
         if self.m > self.size:
             raise ValueError(f"m = {self.m} exceeds tensor size {self.size}")
-        if len(np.unique(omega)) != omega.size:
-            raise ValueError("sample set must consist of distinct indices")
+        return rng.choice(self.size, size=self.m, replace=False)
 
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
@@ -65,14 +66,6 @@ class MeasurementEnsemble:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-def _draw_sample_set(shape, m: int, rng) -> np.ndarray:
-    """m distinct flat indices drawn uniformly without replacement."""
-    N = math.prod(shape)
-    if not 1 <= m <= N:
-        raise ValueError(f"need 1 <= m <= {N}, got m = {m}")
-    return rng.choice(N, size=int(m), replace=False)
 
 
 class GaussianEnsemble(MeasurementEnsemble):
@@ -106,28 +99,20 @@ class FourierEnsemble(MeasurementEnsemble):
 
     ``signs`` holds the +-1 entries of the diagonal flip; ``omega`` holds m
     distinct flat indices (colexicographic order) sampled uniformly without
-    replacement.  The DFT kernel is exp(-2 pi i sum_l j_l k_l / n_l) with
-    0-based indices, i.e. numpy's ``fftn``.
+    replacement.  Both are drawn from ``seed``, the signs first.  The DFT
+    kernel is exp(-2 pi i sum_l j_l k_l / n_l) with 0-based indices, i.e.
+    numpy's ``fftn``.
     """
 
-    def __init__(self, signs: np.ndarray, omega: np.ndarray):
-        signs = np.asarray(signs, dtype=np.float64)
-        omega = np.asarray(omega, dtype=np.intp)
-        super().__init__(signs.shape, omega.size)
-        self._check_sample_set(omega)
-        self.signs = signs
-        self.omega = omega
+    def __init__(self, shape, m: int, seed):
+        super().__init__(shape, m)
+        rng = np.random.default_rng(seed)
+        self.signs = rng.integers(0, 2, size=self.shape).astype(np.float64) * 2.0 - 1.0
+        self.omega = self._draw_sample_set(rng)
 
     @property
     def field(self) -> str:
         return "complex"
-
-    @classmethod
-    def draw(cls, shape, m: int, seed) -> "FourierEnsemble":
-        shape = check_shape(shape)
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-        return cls(signs, _draw_sample_set(shape, m, rng))
 
     def apply(self, X):
         X = self._check_input(X)
@@ -143,33 +128,26 @@ class FourierEnsemble(MeasurementEnsemble):
 
 
 class CompletionEnsemble(MeasurementEnsemble):
-    """Entry sampling: y_j = sqrt(N/m) X(j) for j in the sample set."""
+    """Entry sampling: y_j = sqrt(N/m) X(j) for the m flat indices j drawn from ``seed``."""
 
-    def __init__(self, shape, omega: np.ndarray):
-        omega = np.asarray(omega, dtype=np.intp)
-        super().__init__(shape, omega.size)
-        self._check_sample_set(omega)
-        self.omega = omega
+    def __init__(self, shape, m: int, seed):
+        super().__init__(shape, m)
+        self.omega = self._draw_sample_set(np.random.default_rng(seed))
         self.scale = math.sqrt(self.size / self.m)
-
-    @classmethod
-    def draw(cls, shape, m: int, seed) -> "CompletionEnsemble":
-        shape = check_shape(shape)
-        return cls(shape, _draw_sample_set(shape, m, np.random.default_rng(seed)))
 
     def apply(self, X):
         X = self._check_input(X)
         return self.scale * vec(X)[self.omega]
 
     def adjoint(self, y):
-        y = self._check_vector(y)
-        out = np.zeros(self.size, dtype=np.asarray(y).dtype)
-        out[self.omega] = self.scale * y
+        y = self.scale * self._check_vector(y)
+        out = np.zeros(self.size, dtype=y.dtype)
+        out[self.omega] = y
         return unvec(out, self.shape)
 
 
 _KINDS = {
-    "gaussian": GaussianEnsemble,
+    "gaussian": GaussianEnsemble.draw,
     "fourier": FourierEnsemble,
     "completion": CompletionEnsemble,
 }
@@ -180,5 +158,5 @@ def draw(kind: str, shape, m: int, seed) -> MeasurementEnsemble:
     """Draw a reproducible ensemble of the given kind."""
     if kind not in _KINDS:
         raise ValueError(f"unknown ensemble kind {kind!r}; choose from {sorted(_KINDS)}")
-    return _KINDS[kind].draw(shape, m, seed)
+    return _KINDS[kind](shape, m, seed)
 

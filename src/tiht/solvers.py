@@ -1,9 +1,10 @@
 """CTIHT and NTIHT iterations over any format/ensemble pair.
 
-The iteration alternates a gradient step ``Y = X + mu * A*(y - A(X))`` with a
-format truncation ``X <- H_r(Y)``.  CTIHT uses mu = 1.  NTIHT starts from the
-normalized ratio ||M(A*(r))||_F^2 / ||A(M(A*(r)))||_2^2 built on the rank
-projector of the current iterate and, in the spirit of the normalized IHT
+Starting from X^0 = 0, the iteration alternates a gradient step
+``Y = X + mu * A*(y - A(X))`` with a format truncation ``X <- H_r(Y)``.
+CTIHT uses mu = 1.  NTIHT starts from the normalized ratio
+||M(A*(r))||_F^2 / ||A(M(A*(r)))||_2^2 built on the rank projector of the
+current iterate and, in the spirit of the normalized IHT
 line of algorithms, stabilizes it: a step is kept when it does not increase
 the residual, otherwise it is backed off geometrically until it does, never
 below the stability bound mu <= ||dX||_F^2 / ||A(dX)||_2^2 of the
@@ -48,14 +49,13 @@ VARIANTS = ("ctiht", "ntiht")
 
 @dataclass
 class SolverConfig:
-    """Variant, format, target rank and stopping parameters for one run; HT runs use the balanced tree."""
+    """Variant, format, target rank and stopping parameters for one run from X^0 = 0; HT uses the balanced tree."""
 
     rank: object
     variant: str = "ntiht"
     format: str = "hosvd"
     max_iters: int = 5000
     conv_tol: float = 1e-4
-    initial: np.ndarray | None = None
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -150,7 +150,7 @@ def build_Mj(fmt: str, X_j: np.ndarray, rank, tree: DimensionTree | None = None)
     matricizations (per mode for HOSVD, leading splits for TT, tree nodes for
     HT).  When an unfolding has fewer nonzero singular values than requested
     the basis is padded with the orthonormal complement the SVD returns.
-    :func:`tiht_run` calls it only for the initial iterate; from the second
+    :func:`tiht_run` calls it only for X^0 = 0; from the second
     iteration on it takes the same subspaces from the frames of the
     truncation that produced the iterate, ``RankProjector(shape, D.blocks())``.
     """
@@ -177,7 +177,7 @@ def tiht_run(
     X_ref: np.ndarray | None = None,
     success_threshold: float | None = None,
 ) -> RecoveryResult:
-    """Run CTIHT/NTIHT until the step norm drops below conv_tol or max_iters.
+    """Run CTIHT/NTIHT from X^0 = 0 until the step norm drops below conv_tol or max_iters.
 
     When ``X_ref`` is given, the per-iteration ratio
     ||Y^j - X^{j+1}||_F / ||Y^j - X_ref||_F is recorded (diagnostic only) and
@@ -186,10 +186,7 @@ def tiht_run(
     y = np.asarray(y)
     if y.shape != (A.m,):
         raise ValueError(f"measurement vector of shape {y.shape}, expected ({A.m},)")
-    dtype = np.complex128 if A.field == "complex" else np.float64
-    X = np.zeros(A.shape, dtype=dtype) if config.initial is None else np.asarray(config.initial, dtype=dtype)
-    if X.shape != A.shape:
-        raise ValueError(f"initial tensor shape {X.shape} does not match {A.shape}")
+    X = np.zeros(A.shape, dtype=np.complex128 if A.field == "complex" else np.float64)
 
     ntiht = config.variant == "ntiht"
     trace: list[IterateState] = []

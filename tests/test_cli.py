@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from oracles import load_results
+from tiht import measurements
 from tiht.cli import main
 
 
@@ -107,6 +109,16 @@ def test_trip_subcommand(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["delta_hat"] > 0
     assert payload["samples"] == 40
+
+
+def test_trip_ensemble_shares_no_stream_with_a_sample(monkeypatch):
+    # numpy pads seed lists with zeros, so the seed itself is sample 0's stream [seed, 0]
+    seeds, draw = [], measurements.draw
+    monkeypatch.setattr(measurements, "draw", lambda *args: seeds.append(args[3]) or draw(*args))
+    assert main("trip --shape 5x5x5 --rank 1,1,1 --m 100 --samples 40 --seed 7".split()) == 0
+    ensemble = np.random.default_rng(seeds[0]).standard_normal(8)
+    for i in range(40):
+        assert not np.array_equal(ensemble, np.random.default_rng([7, i]).standard_normal(8))
 
 
 def test_grid_range_parsing(capsys):

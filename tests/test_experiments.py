@@ -9,6 +9,7 @@ from tiht.experiments import (
     ExperimentSpec,
     emit_results,
     generate_test_tensor,
+    measurement_count,
     measurements_for,
     run_phase_diagram,
     run_single_trial,
@@ -61,8 +62,8 @@ def test_generator_validates_rank():
 
 def test_spec_measurement_count_and_validation():
     spec = _small_spec()
-    assert spec.m_of(10) == math.ceil(216 * 10 / 100)
-    assert spec.m_of(1) == 3
+    assert measurement_count(spec.shape, 10) == math.ceil(216 * 10 / 100)
+    assert measurement_count(spec.shape, 1) == 3
     assert spec.threshold == 1e-3
     assert _small_spec(ensemble="completion").threshold == 2.5e-3
     with pytest.raises(ValueError):
@@ -71,6 +72,13 @@ def test_spec_measurement_count_and_validation():
         _small_spec(trials=0)
     with pytest.raises(ValueError):
         _small_spec(ensemble="bernoulli")
+
+
+def test_spec_rejects_a_negative_seed():
+    # numpy rejects negative seed entries only when the first trial draws, inside a worker
+    with pytest.raises(ValueError, match="seed"):
+        _small_spec(seed=-1)
+    assert _small_spec(seed=0).seed == 0
 
 
 def test_spec_threshold_is_kept_as_given_and_must_be_positive():

@@ -38,6 +38,14 @@ def test_tree_nested_roundtrip_and_validation():
         DimensionTree((0, 1, 2))  # not binary
 
 
+def test_single_leaf_tree_is_rejected():
+    # a leaf root has no non-root node to carry a rank, so no truncation runs over it
+    for make in (lambda: DimensionTree(0), lambda: DimensionTree(2), lambda: DimensionTree.balanced(1),
+                 lambda: DimensionTree.balanced(0)):
+        with pytest.raises(ValueError, match="order >= 2"):
+            make()
+
+
 def test_exact_rank_roundtrip():
     tree = DimensionTree.balanced(4)
     for seed in range(5):

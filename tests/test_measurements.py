@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_fourier_matrix, inner_product
-from tiht.measurements import GaussianEnsemble, draw
+from tiht.measurements import CompletionEnsemble, FourierEnsemble, GaussianEnsemble, draw
 from tiht.tensors import frobenius_norm, vec
 
 SMALL_SHAPES = [(2,), (5,), (8,), (2, 2), (3, 4), (8, 8), (2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2), (2,) * 6]
@@ -59,6 +59,30 @@ def test_adjoint_identity_200_pairs_all_ensembles():
             rhs = inner_product(X, A.adjoint(y)) if complex_field else np.vdot(X, A.adjoint(y))
             scale = frobenius_norm(X) * np.linalg.norm(y)
             assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
+
+
+def test_adjoint_identity_with_an_integer_vector():
+    # an integer y is promoted like any other: the completion adjoint once kept y's dtype and truncated
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((3, 3, 3))
+    y = np.arange(1, 11)
+    for kind in ("gaussian", "fourier", "completion"):
+        A = draw(kind, (3, 3, 3), 10, seed=22)
+        assert np.array_equal(A.adjoint(y), A.adjoint(y.astype(np.float64)))
+        assert abs(np.vdot(A.apply(X), y) - np.vdot(X, A.adjoint(y))) <= 1e-12 * frobenius_norm(X) * np.linalg.norm(y)
+
+
+def test_fourier_and_completion_ensembles_draw_from_their_seed():
+    # the Fourier map takes its signs first and then its sample set
+    rng = np.random.default_rng(30)
+    signs = rng.integers(0, 2, size=(3, 4)).astype(np.float64) * 2.0 - 1.0
+    A = FourierEnsemble((3, 4), 5, 30)
+    assert np.array_equal(A.signs, signs)
+    assert np.array_equal(A.omega, rng.choice(12, size=5, replace=False))
+    B = CompletionEnsemble((3, 4), 5, 31)
+    assert np.array_equal(B.omega, np.random.default_rng(31).choice(12, size=5, replace=False))
+    with pytest.raises(ValueError, match="exceeds"):
+        CompletionEnsemble((3, 3, 3), 28, 0)
 
 
 def test_completion_adjoint_scatters():
