@@ -28,7 +28,7 @@ def _parse_rank(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
-    """Comma list ("3,8,24") and/or ranges ("1:30" or "5:50:5")."""
+    """Comma list ("3,8,24") and/or ranges ("1:30" or "5:50:5"); the spec sorts and de-duplicates."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -47,7 +47,7 @@ def _parse_grid(text: str) -> tuple[int, ...]:
             values.append(int(part))
     if not values:
         raise ValueError(f"grid {text!r} holds no percentage")
-    return tuple(sorted(set(values)))
+    return tuple(values)
 
 
 def _default_grid() -> tuple[int, ...]:

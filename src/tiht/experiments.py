@@ -43,6 +43,8 @@ DEFAULT_THRESHOLDS = {kind: 2.5e-3 if kind == "completion" else 1e-3 for kind in
 
 def success_threshold(ensemble: str, threshold: float | None = None) -> float:
     """``threshold``, or the ensemble's default when it is None; it must be positive."""
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {', '.join(ENSEMBLES)}")
     if threshold is None:
         return DEFAULT_THRESHOLDS[ensemble]
     if not threshold > 0:
@@ -55,46 +57,33 @@ def measurement_count(shape, nbar: int) -> int:
     return -(-math.prod(shape) * nbar // 100)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One phase-diagram sweep: the problem family plus the trial protocol."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(SolverConfig):
+    """One phase-diagram sweep: the solver config of every trial plus the
+    problem family and the trial protocol.  It sorts and de-duplicates its
+    grid once, and it keeps no iterates.
+    """
 
+    keep_iterates: bool = field(default=False, init=False)
     shape: tuple[int, ...]
-    rank: object
     ensemble: str = "gaussian"
-    variant: str = "ntiht"
-    format: str = "hosvd"
-    grid: tuple[int, ...] = field(default_factory=tuple)
+    grid: tuple[int, ...] = ()
     trials: int = 50
     threshold: float | None = None
     seed: int = 0
-    max_iters: int = 5000
-    conv_tol: float = 1e-4
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "shape", check_shape(self.shape))
-        object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
+        object.__setattr__(self, "grid", tuple(sorted({int(g) for g in self.grid})))
         if any(not 1 <= g <= 100 for g in self.grid):
             raise ValueError("grid percentages must lie in 1..100")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
-        self.solver_config()  # validates variant, format, max_iters and conv_tol
         draw_ranks(self.format, self.rank, self.shape)  # validates the rank
-
-    def solver_config(self) -> SolverConfig:
-        """The solver settings every trial of the sweep runs with."""
-        return SolverConfig(
-            rank=self.rank,
-            variant=self.variant,
-            format=self.format,
-            max_iters=self.max_iters,
-            conv_tol=self.conv_tol,
-        )
 
 
 @dataclass
@@ -152,7 +141,7 @@ def measurements_for(spec: ExperimentSpec, nbar: int, trial: int):
 def run_single_trial(spec: ExperimentSpec, nbar: int, trial: int):
     """Run one seeded trial; returns (success, iterations, final_error)."""
     X0, A, y = measurements_for(spec, nbar, trial)
-    result = tiht_run(A, y, spec.solver_config(), X_ref=X0, success_threshold=spec.threshold)
+    result = tiht_run(A, y, spec, X_ref=X0, success_threshold=spec.threshold)
     return bool(result.success), result.iterations, float(result.final_error)
 
 
@@ -210,14 +199,14 @@ def _rank_label(rank) -> str:
 
 
 def emit_results(diagram: PhaseDiagram, path) -> None:
-    """Write cells with the fixed column order, sorted by (variant, nbar).
+    """Write cells with the fixed column order, in the spec's grid order.
 
     A path ending in ``.json`` gets a JSON list of rows, any other path CSV.
     """
     if not diagram.cells:
         raise ValueError("nothing to emit: no cells")
     rows = []
-    for cell in sorted(diagram.cells, key=lambda c: (diagram.spec.variant, c.nbar)):
+    for cell in diagram.cells:
         rows.append(
             {
                 "type": diagram.spec.ensemble,

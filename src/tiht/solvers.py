@@ -47,7 +47,7 @@ __all__ = [
 VARIANTS = ("ctiht", "ntiht")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Variant, format, target rank and stopping parameters for one run from X^0 = 0; HT uses the balanced tree."""
 
@@ -186,6 +186,8 @@ def tiht_run(
     y = np.asarray(y)
     if y.shape != (A.m,):
         raise ValueError(f"measurement vector of shape {y.shape}, expected ({A.m},)")
+    if X_ref is not None and np.shape(X_ref) != A.shape:
+        raise ValueError(f"reference tensor of shape {np.shape(X_ref)}, expected {A.shape}")
     X = np.zeros(A.shape, dtype=np.complex128 if A.field == "complex" else np.float64)
 
     ntiht = config.variant == "ntiht"

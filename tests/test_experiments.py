@@ -13,7 +13,10 @@ from tiht.experiments import (
     measurements_for,
     run_phase_diagram,
     run_single_trial,
+    success_threshold,
 )
+from tiht.measurements import ENSEMBLES
+from tiht.solvers import SolverConfig, tiht_run
 
 
 def _small_spec(**overrides):
@@ -72,6 +75,39 @@ def test_spec_measurement_count_and_validation():
         _small_spec(trials=0)
     with pytest.raises(ValueError):
         _small_spec(ensemble="bernoulli")
+
+
+def test_success_threshold_rejects_an_unknown_ensemble():
+    with pytest.raises(ValueError, match="'bogus'") as excinfo:
+        success_threshold("bogus")
+    assert all(kind in str(excinfo.value) for kind in ENSEMBLES)
+
+
+def test_spec_is_the_solver_config_of_its_trials():
+    spec = _small_spec(max_iters=60)
+    assert isinstance(spec, SolverConfig)
+    X0, A, y = measurements_for(spec, 10, 0)
+    explicit = SolverConfig(rank=(1, 1, 1), variant="ntiht", format="hosvd", max_iters=60, conv_tol=1e-4)
+    ran, expected = tiht_run(A, y, spec, X_ref=X0), tiht_run(A, y, explicit, X_ref=X0)
+    for name in ("mus", "residuals", "step_norms", "eps_ratios", "tensor"):
+        assert np.array_equal(getattr(ran, name), getattr(expected, name))
+    assert ran.iterations == expected.iterations and ran.trace[-1].X is None
+    # a sweep keeps no iterates, and its fields are keyword-only
+    with pytest.raises(TypeError):
+        _small_spec(keep_iterates=True)
+    with pytest.raises(TypeError):
+        ExperimentSpec((6, 6, 6), (1, 1, 1), "gaussian", "ntiht")
+    # the shortened copy the benchmark warms up with is validated like any spec
+    shortened = dataclasses.replace(spec, trials=1, max_iters=2)
+    assert (shortened.trials, shortened.max_iters, shortened.grid) == (1, 2, spec.grid)
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec, max_iters=0)
+
+
+def test_spec_sorts_and_deduplicates_its_grid():
+    spec = _small_spec(grid=(60, 50, 60), trials=1, max_iters=50)
+    assert spec.grid == (50, 60)
+    assert [c.nbar for c in run_phase_diagram(spec, workers=1).cells] == [50, 60]
 
 
 def test_spec_rejects_a_negative_seed():

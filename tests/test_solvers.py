@@ -272,6 +272,15 @@ def test_config_validation_and_shape_errors():
         tiht_run(A, np.zeros(11), SolverConfig(rank=(1, 1, 1)))
 
 
+def test_reference_tensor_of_another_shape_is_rejected():
+    # numpy would broadcast either reference and report errors against it
+    X0 = generate_test_tensor((4, 4, 4), (1, 1, 1), seed=25)
+    A = draw("gaussian", (4, 4, 4), 30, seed=26)
+    for X_ref in (np.zeros((4, 1, 1)), 5.0):
+        with pytest.raises(ValueError, match="reference tensor"):
+            tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), max_iters=20), X_ref=X_ref)
+
+
 def test_trace_csv_export(tmp_path):
     X0 = generate_test_tensor((4, 4, 4), (1, 1, 1), seed=25)
     A = draw("gaussian", (4, 4, 4), 30, seed=26)

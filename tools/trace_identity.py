@@ -43,11 +43,18 @@ def dump(src: Path, out: str) -> None:
 
     for c in w.NTIHT_CELLS + w.CTIHT_CELLS:
         spec = tiht.experiments.ExperimentSpec(
-            w.SHAPE, c.rank, c.ensemble, c.variant, grid=(c.nbar,), seed=w.DEFAULT_SEED, max_iters=c.max_iters
+            shape=w.SHAPE,
+            rank=c.rank,
+            ensemble=c.ensemble,
+            variant=c.variant,
+            grid=(c.nbar,),
+            seed=w.DEFAULT_SEED,
+            max_iters=c.max_iters,
         )
+        config = tiht.solvers.SolverConfig(rank=c.rank, variant=c.variant, max_iters=c.max_iters)
         for trial in range(3):
             X0, A, _ = tiht.experiments.measurements_for(spec, c.nbar, trial)
-            record(f"{c.label}/trial{trial}", A, X0, spec.solver_config(), spec.threshold)
+            record(f"{c.label}/trial{trial}", A, X0, config, spec.threshold)
     for inst in w.Recover(w.DEFAULT_SEED).instances[: len(w.RECOVER_COMBOS)]:
         m = w.checks.measurement_count(w.SHAPE, inst.nbar)
         X0 = tiht.experiments.random_rank_r_tensor(w.SHAPE, inst.fmt, inst.solver_rank, [inst.seed, 0])
