@@ -12,12 +12,11 @@ changed-subspace test.  Stopping follows the experimental protocol: a
 Frobenius step below ``conv_tol`` (converged) or ``max_iters`` iterations;
 iterates leaving the representable range end the run as diverged.
 
-NTIHT iterates stay factored: from the second iteration on, X^j is the
-truncation H_r(Y^{j-1}), whose decomposition already holds orthonormal bases
-of the matricization column spaces that M^j projects onto, so M^j is built
-from those frames (``blocks()``) without an SVD.  Only X^0, which no
-truncation produced, goes through :func:`build_Mj`.  The A(X^{j+1}) of the
-safeguard's residual test is reused as the next iteration's A(X^j).
+Every NTIHT projector is built from the orthonormal frames (``blocks()``) of
+a truncation: M^j for j >= 1 from those of X^j = H_r(Y^{j-1}), and M^0, since
+X^0 = 0 spans nothing, from those of H_r(A*(y)), as normalized IHT starts
+from the support of H_K(A*(y)).  The A(X^{j+1}) of the safeguard's residual
+test is reused as the next iteration's A(X^j).
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import FORMATS, DimensionTree, clamp_ranks, truncate
+from .formats import FORMATS, DimensionTree, truncate
 from .measurements import MeasurementEnsemble
-from ._linalg import top_left_bases
 from .tensors import frobenius_norm, matricize, tensorize, vec
 
 __all__ = [
@@ -143,21 +141,16 @@ class RankProjector:
         return Z
 
 
-def build_Mj(fmt: str, X_j: np.ndarray, rank, tree: DimensionTree | None = None) -> RankProjector:
-    """Projector M^j onto the rank-r format subspaces of the current iterate.
+def build_Mj(fmt: str, Z: np.ndarray, rank, tree: DimensionTree | None = None) -> RankProjector:
+    """Projector onto the rank-r format subspaces of ``Z``: the frames of H_r(Z).
 
-    Bases are the top left singular vectors of the iterate's defining
-    matricizations (per mode for HOSVD, leading splits for TT, tree nodes for
-    HT).  When an unfolding has fewer nonzero singular values than requested
-    the basis is padded with the orthonormal complement the SVD returns.
-    :func:`tiht_run` calls it only for X^0 = 0; from the second
-    iteration on it takes the same subspaces from the frames of the
-    truncation that produced the iterate, ``RankProjector(shape, D.blocks())``.
+    The bases are those of the matricizations H_r keeps (per mode for HOSVD,
+    leading splits for TT, tree nodes for HT), taken from the truncation's
+    ``blocks()``.  For Z of format rank at most r this is the projector M^j
+    of the paper at X^j = Z.  :func:`tiht_run` builds M^0 from H_r(A*(y));
+    every later M^j comes from the truncation that produced X^j.
     """
-    X_j = np.asarray(X_j)
-    sets, r = clamp_ranks(fmt, rank, X_j.shape, tree)
-    bases = top_left_bases([matricize(X_j, S) for S in sets], r)
-    return RankProjector(X_j.shape, zip(sets, bases))
+    return RankProjector(np.shape(Z), truncate(Z, fmt, rank, tree).blocks())
 
 
 def _mu_from_direction(A: MeasurementEnsemble, t: np.ndarray) -> tuple[float, bool]:
@@ -206,10 +199,13 @@ def tiht_run(
                 break
             g = A.adjoint(resid)
             if ntiht:
-                if D is None:
-                    projector = build_Mj(config.format, X, config.rank)
-                else:
+                if D is not None:
                     projector = RankProjector(X.shape, D.blocks())
+                elif np.all(np.isfinite(g)):
+                    projector = build_Mj(config.format, g, config.rank)
+                else:
+                    diverged = True  # an overflowing A*(y) has no truncation to take M^0 from
+                    break
                 mu, fallback = _mu_from_direction(A, projector(g))
             else:
                 mu, fallback = 1.0, False

@@ -260,6 +260,41 @@ def test_divergence_recorded_not_raised():
     assert not res.converged
 
 
+def test_overflowing_gradient_ends_the_run_as_diverged():
+    # y = 1e100 X0 is finite, but A*(y) = 1e350 X0 overflows: NTIHT has no
+    # H_r(A*(y)) to build M^0 from, and CTIHT's first candidate is not finite
+    shape = (3, 3, 3)
+    A = GaussianEnsemble(1e250 * np.eye(27), shape)
+    X0 = 1e-150 * generate_test_tensor(shape, (1, 1, 1), seed=27)
+    for variant in ("ntiht", "ctiht"):  # a warning fails the test: the suite makes warnings errors
+        res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant=variant), X_ref=X0)
+        assert res.stop_reason == "diverged", variant
+        assert res.iterations == 0 and not np.any(res.tensor), variant
+
+
+def test_first_projector_is_not_a_choice_of_coordinates():
+    # M^0 of the zero iterate kept only entry (0, 0, 0) at rank (1, 1, 1); a
+    # completion map that misses it measured M^0(A*(y)) as 0 and fell back to mu = 1
+    A = draw("completion", SHAPE, 200, seed=32)
+    assert 0 not in A.omega
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=33)
+    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), max_iters=1))
+    assert not res.trace[0].mu_fallback
+
+
+@pytest.mark.parametrize("fmt, rank", [("hosvd", (1, 1, 1)), ("tt", (1, 1)), ("ht", 1)])
+@pytest.mark.parametrize("ensemble", ["gaussian", "fourier"])
+def test_first_step_size_is_normalized_on_the_truncation_of_the_gradient(fmt, rank, ensemble):
+    X0 = random_rank_r_tensor((6, 6, 6), fmt, rank, [34, len(fmt)])
+    A = draw(ensemble, (6, 6, 6), 100, seed=35)
+    y = A.apply(X0)
+    res = tiht_run(A, y, SolverConfig(rank=rank, format=fmt, max_iters=1))
+    assert res.trace[0].retries == 0  # so the recorded mu is the normalized one
+    g = A.adjoint(y)
+    mu, fallback = tiht.solvers._mu_from_direction(A, build_Mj(fmt, g, rank)(g))
+    assert res.trace[0].mu == mu and not fallback
+
+
 def test_config_validation_and_shape_errors():
     with pytest.raises(ValueError):
         SolverConfig(rank=(1, 1, 1), variant="tiht")
@@ -333,7 +368,8 @@ def test_retries_count_the_safeguard_truncations(monkeypatch):
     assert not res.success
     retries = sum(s.retries for s in res.trace)
     assert retries > 0
-    assert retries == len(calls) - res.iterations
+    # one truncation per iteration and retry, plus H_r(A*(y)) for M^0
+    assert len(calls) == res.iterations + retries + 1
 
     calls.clear()
     res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht", max_iters=20))

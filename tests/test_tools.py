@@ -1,6 +1,8 @@
 """The committed tools run against the working tree's API."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,3 +21,25 @@ def test_trace_identity_dumps_the_ht_and_draw_arrays():
     # 204 HT draws, reconstructions and node frames; 36 HOSVD and TT draws
     assert len(arrays) == 240
     assert all(np.all(np.isfinite(a)) for a in arrays.values())
+
+
+def test_trace_identity_compare_exit_status_gates_on_every_array(tmp_path):
+    # the CI trace-identity job passes or fails on this exit status alone
+    def compare(a, b):
+        paths = []
+        for name, arrays in (("a.npz", a), ("b.npz", b)):
+            np.savez(tmp_path / name, **arrays)
+            paths.append(str(tmp_path / name))
+        return subprocess.run(
+            [sys.executable, str(TRACE_IDENTITY), "compare", *paths], capture_output=True, text=True
+        )
+
+    arrays = {"run/mus": np.array([1.0, 0.5, np.nan]), "run/stop_reason": np.array("converged")}
+    same = compare(arrays, arrays)
+    assert same.returncode == 0, same.stdout
+    assert "2/2 arrays identical" in same.stdout
+
+    changed = compare(arrays, arrays | {"run/mus": np.array([1.0, 0.25, np.nan])})
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines()[0] == "run/mus: differs or is missing on one side"
+    assert "1/2 arrays identical" in changed.stdout
