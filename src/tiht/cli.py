@@ -18,13 +18,12 @@ from .formats import FORMATS, mode_sets
 __all__ = ["main", "build_parser"]
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Integers separated by "x" or ","; an empty field is an error, not skipped."""
     parts = text.replace("x", ",").split(",")
-    return tuple(int(p) for p in parts if p)
-
-
-def _parse_rank(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p)
+    if "" in parts:
+        raise argparse.ArgumentTypeError(f"empty field in {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -56,10 +55,10 @@ def _default_grid() -> tuple[int, ...]:
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", type=_parse_shape, default=(10, 10, 10), help="tensor extents, e.g. 10x10x10")
+    p.add_argument("--shape", type=_parse_ints, default=(10, 10, 10), help="tensor extents, e.g. 10x10x10")
     p.add_argument(
         "--rank",
-        type=_parse_rank,
+        type=_parse_ints,
         default=None,
         help="rank tuple, e.g. 1,1,1 (HOSVD: one per mode, TT: one per prefix) or one int for HT;"
         " default all ones, 1 for HT",
@@ -189,6 +188,8 @@ def _cmd_phase(args) -> int:
         max_iters=args.max_iters,
         conv_tol=args.conv_tol,
     )
+    if args.out:
+        open(args.out, "a").close()  # an unwritable path fails here, before any trial runs
     diagram = experiments.run_phase_diagram(spec)
     for cell in diagram.cells:
         print(

@@ -66,8 +66,8 @@ class ExperimentSpec(SolverConfig):
 
     keep_iterates: bool = field(default=False, init=False)
     shape: tuple[int, ...]
+    grid: tuple[int, ...]
     ensemble: str = "gaussian"
-    grid: tuple[int, ...] = ()
     trials: int = 50
     threshold: float | None = None
     seed: int = 0
@@ -76,8 +76,8 @@ class ExperimentSpec(SolverConfig):
         super().__post_init__()
         object.__setattr__(self, "shape", check_shape(self.shape))
         object.__setattr__(self, "grid", tuple(sorted({int(g) for g in self.grid})))
-        if any(not 1 <= g <= 100 for g in self.grid):
-            raise ValueError("grid percentages must lie in 1..100")
+        if not self.grid or any(not 1 <= g <= 100 for g in self.grid):
+            raise ValueError(f"grid must hold one or more percentages in 1..100, got {self.grid}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -159,11 +159,10 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     Deterministic for a fixed spec regardless of worker count or completion
     order; non-convergence is a recorded unsuccessful outcome, never an error.
     """
-    if not spec.grid:
-        raise ValueError("grid must contain at least one percentage")
-    workers = resolve_workers(workers)
     tasks = [(spec, nbar, t) for nbar in spec.grid for t in range(spec.trials)]
-    if workers == 1 or len(tasks) == 1:
+    # the fork start method starts every worker with the first task, so no more than there are tasks
+    workers = min(resolve_workers(workers), len(tasks))
+    if workers == 1:
         outcomes = [run_single_trial(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -221,15 +220,12 @@ def emit_results(diagram: PhaseDiagram, path) -> None:
                 "mean_error": cell.mean_error,
             }
         )
-    try:
-        with open(path, "w", newline="") as fh:
-            if str(path).endswith(".json"):
-                json.dump(rows, fh, indent=2)
-                fh.write("\n")
-            else:
-                writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
-                writer.writeheader()
-                writer.writerows(rows)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        if str(path).endswith(".json"):
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
 

@@ -9,8 +9,9 @@ line of algorithms, stabilizes it: a step is kept when it does not increase
 the residual, otherwise it is backed off geometrically until it does, never
 below the stability bound mu <= ||dX||_F^2 / ||A(dX)||_2^2 of the
 changed-subspace test.  Stopping follows the experimental protocol: a
-Frobenius step below ``conv_tol`` (converged) or ``max_iters`` iterations;
-iterates leaving the representable range end the run as diverged.
+Frobenius step below ``conv_tol`` (converged) or ``max_iters`` iterations.
+A run whose residual y - A(X^j) or gradient A*(y - A(X^j)) is not finite at
+the top of an iteration, or whose candidate Y is not finite, ends as diverged.
 
 Every NTIHT projector is built from the orthonormal frames (``blocks()``) of
 a truncation: M^j for j >= 1 from those of X^j = H_r(Y^{j-1}), and M^0, since
@@ -69,9 +70,8 @@ class SolverConfig:
 
 @dataclass
 class IterateState:
-    """Per-iteration trace row."""
+    """Per-iteration trace row; its index in the trace is the iteration j."""
 
-    iteration: int
     mu: float
     residual: float
     step_norm: float
@@ -83,22 +83,22 @@ class IterateState:
 
 @dataclass
 class RecoveryResult:
-    """Final iterate plus the per-iteration trace and success bookkeeping."""
+    """Final iterate, why the run stopped ("converged", "diverged" or
+    "max_iters"), the per-iteration trace and success bookkeeping."""
 
     tensor: np.ndarray
-    iterations: int
-    converged: bool
+    stop_reason: str
     trace: list[IterateState] = field(default_factory=list)
     final_error: float | None = None
     success: bool | None = None
-    diverged: bool = False  # iterates left the representable range
 
     @property
-    def stop_reason(self) -> str:
-        """Why the run ended: "converged", "diverged" or "max_iters"."""
-        if self.converged:
-            return "converged"
-        return "diverged" if self.diverged else "max_iters"
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def residuals(self) -> np.ndarray:
@@ -185,27 +185,21 @@ def tiht_run(
 
     ntiht = config.variant == "ntiht"
     trace: list[IterateState] = []
-    converged = diverged = False
+    stop = "max_iters"
     AX = None  # A(X) when the safeguard has already measured X
     D = None  # decomposition of the truncation that produced X
     # overflow along a diverging trajectory is detected and recorded below, so
     # the intermediate inf/nan arithmetic is expected and not worth warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(config.max_iters):
+        for _ in range(config.max_iters):
             resid = y - (A.apply(X) if AX is None else AX)
             resid_norm = float(np.linalg.norm(resid))
-            if not np.isfinite(resid_norm):
-                diverged = True  # recorded outcome, not an error
-                break
             g = A.adjoint(resid)
+            if not (np.isfinite(resid_norm) and np.all(np.isfinite(g))):
+                stop = "diverged"  # recorded outcome, not an error
+                break
             if ntiht:
-                if D is not None:
-                    projector = RankProjector(X.shape, D.blocks())
-                elif np.all(np.isfinite(g)):
-                    projector = build_Mj(config.format, g, config.rank)
-                else:
-                    diverged = True  # an overflowing A*(y) has no truncation to take M^0 from
-                    break
+                projector = build_Mj(config.format, g, config.rank) if D is None else RankProjector(X.shape, D.blocks())
                 mu, fallback = _mu_from_direction(A, projector(g))
             else:
                 mu, fallback = 1.0, False
@@ -217,8 +211,8 @@ def tiht_run(
             retries = 0
             while True:
                 Y = X + mu * g
-                diverged = not np.all(np.isfinite(Y))
-                if diverged:
+                if not np.all(np.isfinite(Y)):
+                    stop = "diverged"
                     break
                 D = truncate(Y, config.format, config.rank)
                 X_next = D.reconstruct()
@@ -232,7 +226,7 @@ def tiht_run(
                     break
                 mu = mu / 1.3 if mu / 1.3 > omega else 0.99 * omega
                 retries += 1
-            if diverged:
+            if stop == "diverged":
                 break
             step_norm = frobenius_norm(X_next - X)
             eps_ratio = None
@@ -244,10 +238,10 @@ def tiht_run(
                 else:  # Y is X_ref: 0 when the truncation kept it, else unbounded
                     eps_ratio = 0.0 if num <= 1e-10 * max(frobenius_norm(Y), 1.0) else float("inf")
             X_kept = X.copy() if config.keep_iterates else None
-            trace.append(IterateState(j, mu, resid_norm, step_norm, eps_ratio, fallback, X_kept, retries))
+            trace.append(IterateState(mu, resid_norm, step_norm, eps_ratio, fallback, X_kept, retries))
             X = X_next
             if step_norm < config.conv_tol:
-                converged = True
+                stop = "converged"
                 break
 
         final_error = success = None
@@ -257,7 +251,7 @@ def tiht_run(
             if success_threshold is not None:
                 success = bool(final_error < success_threshold)
 
-    return RecoveryResult(X, len(trace), converged, trace, final_error, success, diverged)
+    return RecoveryResult(X, stop, trace, final_error, success)
 
 
 def export_trace_csv(result: RecoveryResult, path) -> None:
@@ -265,10 +259,10 @@ def export_trace_csv(result: RecoveryResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual", "step_norm", "mu", "eps_ratio"])
-        for s in result.trace:
+        for j, s in enumerate(result.trace):
             writer.writerow(
                 [
-                    s.iteration,
+                    j,
                     repr(s.residual),
                     repr(s.step_norm),
                     repr(s.mu),

@@ -92,6 +92,18 @@ def test_phase_json_results_are_read_back(tmp_path, capsys):
     assert [(r["nbar"], r["trials"]) for r in rows] == [(50, 2)]
 
 
+def test_phase_out_in_a_missing_directory_exits_before_any_trial(tmp_path, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("tiht.experiments.run_phase_diagram", no_sweep)
+    out = tmp_path / "missing" / "cells.csv"
+    with pytest.raises(SystemExit) as exc:
+        main("phase --shape 4x4 --rank 1,1 --grid 50 --trials 1".split() + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count(str(out)) == 1
+
+
 @pytest.mark.parametrize(
     "flag", ["--variant=ctiht", "--max-iters=3", "--conv-tol=1e-3", "--threshold=1e-3"]
 )
@@ -148,6 +160,13 @@ def test_exit_code_2_on_bad_arguments():
         [sys.executable, "-m", "tiht.cli", "frobnicate"], capture_output=True
     )
     assert proc.returncode == 2
+    # an empty field in an integer list is an error, not a field to skip
+    for flags in (["--shape", "10xx10"], ["--shape", "10x"], ["--shape", "4x4x4", "--rank", "1,,1,"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tiht.cli", "recover", *flags, "--nbar", "50"], capture_output=True
+        )
+        assert proc.returncode == 2, flags
+        assert b"empty field" in proc.stderr, flags
     # runtime argument errors (not just parse errors) also exit 2
     proc = subprocess.run(
         [sys.executable, "-m", "tiht.cli", "trip", "--shape", "2x2", "--rank", "1,1",

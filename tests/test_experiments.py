@@ -71,6 +71,8 @@ def test_spec_measurement_count_and_validation():
     assert _small_spec(ensemble="completion").threshold == 2.5e-3
     with pytest.raises(ValueError):
         _small_spec(grid=(0, 10))
+    with pytest.raises(ValueError, match="grid"):
+        _small_spec(grid=())
     with pytest.raises(ValueError):
         _small_spec(trials=0)
     with pytest.raises(ValueError):
@@ -166,6 +168,32 @@ def test_phase_diagram_deterministic_across_worker_counts():
         assert (a.nbar, a.m, a.successes, a.trials) == (b.nbar, b.m, b.successes, b.trials)
         assert a.mean_iterations == b.mean_iterations
         assert a.mean_error == b.mean_error
+
+
+def test_pool_is_sized_by_its_tasks(monkeypatch):
+    # under fork every worker starts with the first task, so 32 workers for 2 trials forked 32 processes
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("tiht.experiments.ProcessPoolExecutor", InProcessPool)
+    spec = _small_spec(grid=(50,), trials=2, max_iters=30)
+    assert run_phase_diagram(spec, workers=32).cells == run_phase_diagram(spec, workers=1).cells
+    monkeypatch.setenv("TIHT_THREADS", "32")
+    run_phase_diagram(spec)
+    run_phase_diagram(dataclasses.replace(spec, trials=1))  # one task runs in process
+    assert sizes == [2, 2]
 
 
 def test_phase_diagram_transition_summaries():

@@ -254,15 +254,15 @@ def test_divergence_recorded_not_raised():
         A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant="ctiht"),
         X_ref=X0, success_threshold=1e-3,
     )
-    assert res.diverged
+    assert res.stop_reason == "diverged"
     assert res.success is False
     assert res.final_error == float("inf")
     assert not res.converged
 
 
 def test_overflowing_gradient_ends_the_run_as_diverged():
-    # y = 1e100 X0 is finite, but A*(y) = 1e350 X0 overflows: NTIHT has no
-    # H_r(A*(y)) to build M^0 from, and CTIHT's first candidate is not finite
+    # y = 1e100 X0 is finite, but A*(y) = 1e350 X0 overflows: both variants
+    # stop at the top of the first iteration, before any truncation
     shape = (3, 3, 3)
     A = GaussianEnsemble(1e250 * np.eye(27), shape)
     X0 = 1e-150 * generate_test_tensor(shape, (1, 1, 1), seed=27)
@@ -270,6 +270,20 @@ def test_overflowing_gradient_ends_the_run_as_diverged():
         res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1), variant=variant), X_ref=X0)
         assert res.stop_reason == "diverged", variant
         assert res.iterations == 0 and not np.any(res.tensor), variant
+
+
+def test_overflowing_candidate_ends_the_run_as_diverged():
+    # y = 1e60 X0 and g = A*(y) = 1e160 X0 are finite, so the run passes the
+    # top of its first iteration; ||M^0(g)||^2 overflows, so mu = inf / inf is
+    # nan and the first candidate Y = mu g is not finite
+    shape = (3, 3, 3)
+    A = GaussianEnsemble(1e100 * np.eye(27), shape)
+    X0 = 1e-40 * generate_test_tensor(shape, (1, 1, 1), seed=27)
+    y = A.apply(X0)
+    assert np.isfinite(np.linalg.norm(y)) and np.all(np.isfinite(A.adjoint(y)))
+    res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1)), X_ref=X0)  # a warning fails the test
+    assert res.stop_reason == "diverged"
+    assert res.iterations == 0 and not np.any(res.tensor)
 
 
 def test_first_projector_is_not_a_choice_of_coordinates():

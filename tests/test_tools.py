@@ -12,15 +12,28 @@ import tiht
 TRACE_IDENTITY = Path(__file__).resolve().parents[1] / "tools" / "trace_identity.py"
 
 
-def test_trace_identity_dumps_the_ht_and_draw_arrays():
-    # an API change that breaks the identity tool fails here, not at the next comparison
+def _tool():
     spec = importlib.util.spec_from_file_location("trace_identity", TRACE_IDENTITY)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_trace_identity_dumps_the_ht_and_draw_arrays():
+    # an API change that breaks the identity tool fails here, not at the next comparison
+    tool = _tool()
     arrays = tool.ht_arrays(tiht) | tool.draw_arrays(tiht)
     # 204 HT draws, reconstructions and node frames; 36 HOSVD and TT draws
     assert len(arrays) == 240
     assert all(np.all(np.isfinite(a)) for a in arrays.values())
+
+
+def test_trace_identity_dumps_a_run_for_every_exit_to_diverged():
+    # the sweep cells and recover instances end only converged or max_iters, so
+    # without these runs the CI gate would not see the diverging exits
+    arrays = _tool().diverging_arrays(tiht)
+    assert len(arrays) == 28  # four runs, seven arrays each
+    assert [str(a) for n, a in arrays.items() if n.endswith("/stop_reason")] == ["diverged"] * 4
 
 
 def test_trace_identity_compare_exit_status_gates_on_every_array(tmp_path):

@@ -7,10 +7,12 @@
 lists from ``SRC/bench/workloads.py`` (read only).  It runs trials 0-2 at
 seed 2016 of each sweep cell, with the cell's iteration cap, and every
 ``RECOVER_COMBOS`` instance at seed 201600 with the CLI's seed streams and
-cap 100.  Per run it saves ``mus``, ``residuals``, ``step_norms``,
-``eps_ratios``, per-iteration ``retries``, ``stop_reason`` and the final
-tensor.  Off that balanced 10x10x10 HT path it saves HT draws and
-``truncate``'s ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
+cap 100.  It also runs the four seeded diverging runs of
+``tests/test_solvers.py``, so every stop reason is among the 42 runs.  Per
+run it saves ``mus``, ``residuals``, ``step_norms``, ``eps_ratios``,
+per-iteration ``retries``, ``stop_reason`` and the final tensor.  Off the
+balanced 10x10x10 HT path it saves HT draws and ``truncate``'s
+``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
 real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
 ``degenerate(4)``, ``balanced(3)`` and the order-6 tree ``(((0, 1), 2), (3, (4, 5)))``,
 which is neither balanced nor degenerate.  It also saves HOSVD and TT draws of
@@ -32,15 +34,6 @@ def dump(src: Path, out: str) -> None:
     import workloads as w
 
     arrays = {}
-
-    def record(label, A, X0, config, threshold):
-        res = tiht.solvers.tiht_run(A, A.apply(X0), config, X_ref=X0, success_threshold=threshold)
-        for name in ("mus", "residuals", "step_norms", "eps_ratios"):
-            arrays[f"{label}/{name}"] = getattr(res, name)
-        arrays[f"{label}/retries"] = np.array([s.retries for s in res.trace])
-        arrays[f"{label}/stop_reason"] = np.array(res.stop_reason)
-        arrays[f"{label}/tensor"] = res.tensor
-
     for c in w.NTIHT_CELLS + w.CTIHT_CELLS:
         spec = tiht.experiments.ExperimentSpec(
             shape=w.SHAPE,
@@ -54,16 +47,41 @@ def dump(src: Path, out: str) -> None:
         config = tiht.solvers.SolverConfig(rank=c.rank, variant=c.variant, max_iters=c.max_iters)
         for trial in range(3):
             X0, A, _ = tiht.experiments.measurements_for(spec, c.nbar, trial)
-            record(f"{c.label}/trial{trial}", A, X0, config, spec.threshold)
+            arrays |= run_arrays(tiht, f"{c.label}/trial{trial}", A, X0, config, spec.threshold)
     for inst in w.Recover(w.DEFAULT_SEED).instances[: len(w.RECOVER_COMBOS)]:
         m = w.checks.measurement_count(w.SHAPE, inst.nbar)
         X0 = tiht.experiments.random_rank_r_tensor(w.SHAPE, inst.fmt, inst.solver_rank, [inst.seed, 0])
         A = tiht.measurements.draw(inst.ensemble, w.SHAPE, m, [inst.seed, 1])
         config = tiht.solvers.SolverConfig(rank=inst.solver_rank, format=inst.fmt, max_iters=w.RECOVER_CAP)
-        record(inst.label, A, X0, config, w.THRESHOLDS[inst.ensemble])
-    arrays |= ht_arrays(tiht) | draw_arrays(tiht)
+        arrays |= run_arrays(tiht, inst.label, A, X0, config, w.THRESHOLDS[inst.ensemble])
+    arrays |= diverging_arrays(tiht) | ht_arrays(tiht) | draw_arrays(tiht)
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
+
+
+def run_arrays(tiht, label, A, X0, config, threshold) -> dict:
+    res = tiht.solvers.tiht_run(A, A.apply(X0), config, X_ref=X0, success_threshold=threshold)
+    arrays = {f"{label}/{name}": getattr(res, name) for name in ("mus", "residuals", "step_norms", "eps_ratios")}
+    arrays[f"{label}/retries"] = np.array([s.retries for s in res.trace])
+    arrays[f"{label}/stop_reason"] = np.array(res.stop_reason)
+    arrays[f"{label}/tensor"] = res.tensor
+    return arrays
+
+
+def diverging_arrays(tiht) -> dict:
+    """The seeded diverging runs of tests/test_solvers.py, which reach both exits to "diverged"."""
+    shape, arrays = (3, 3, 3), {}
+    X0 = tiht.experiments.generate_test_tensor(shape, (1, 1, 1), seed=27)
+    for name, scale, x_scale, variants in (
+        ("blowup", 2.0, 1.0, ("ctiht",)),  # A = 2I: the CTIHT error map e -> -3e
+        ("gradient-overflow", 1e250, 1e-150, ("ntiht", "ctiht")),  # y finite, A*(y) not
+        ("candidate-overflow", 1e100, 1e-40, ("ntiht",)),  # A*(y) finite, mu = inf / inf
+    ):
+        A = tiht.measurements.GaussianEnsemble(scale * np.eye(27), shape)
+        for variant in variants:
+            config = tiht.solvers.SolverConfig(rank=(1, 1, 1), variant=variant)
+            arrays |= run_arrays(tiht, f"diverging/{name}/{variant}", A, x_scale * X0, config, 1e-3)
+    return arrays
 
 
 def ht_arrays(tiht) -> dict:
