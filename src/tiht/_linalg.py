@@ -13,7 +13,13 @@ def fix_svd_signs(U: np.ndarray, SVt: np.ndarray | None = None):
     U's columns) is given, it is adjusted so the product is unchanged.
     Leading axes of ``U`` and ``SVt`` are a stack of independent matrices.
     """
-    pivot = np.take_along_axis(U, np.argmax(np.abs(U), axis=-2)[..., None, :], axis=-2)
+    stack = U.reshape(-1, *U.shape[-2:])
+    pivot = stack[np.arange(len(stack))[:, None], np.abs(stack).argmax(axis=1), np.arange(U.shape[-1])]
+    pivot = pivot.reshape(*U.shape[:-2], 1, U.shape[-1])
+    if U.dtype.kind != "c":
+        # a real phase is exactly +-1 (NaN for a NaN column), so one product rounds like the loop
+        phase = np.divide(pivot, np.abs(pivot), out=np.ones_like(pivot), where=pivot != 0)
+        return U * phase if SVt is None else (U * phase, SVt * np.swapaxes(phase, -1, -2))
     # hypot rounds like abs() of one complex scalar; np.abs of a complex array does not
     mag = np.hypot(pivot.real, pivot.imag)
     phase = np.divide(pivot, mag, out=np.ones_like(pivot), where=mag != 0)

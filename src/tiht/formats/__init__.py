@@ -12,6 +12,8 @@ and a decomposition record that reconstructs back to a dense tensor.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..tensors import as_tensor
@@ -45,18 +47,28 @@ __all__ = [
 def truncate(X, fmt: str, ranks, tree: DimensionTree | None = None):
     """The format's rank-r truncation operator H_r over ``tree`` (balanced by default, HT only).
 
-    The one checked entry: it clamps ``ranks`` once and hands the clamped
-    ranks to the format's kernel.
+    The one checked entry: it clamps ``ranks`` once per (format, ranks,
+    shape, tree) and hands the clamped ranks to the format's kernel.
     """
     X = as_tensor(X)
-    if fmt == "ht":
-        tree = default_tree(tree, X.ndim)
-    _, r = clamp_ranks(fmt, ranks, X.shape, tree)  # rejects an unknown format
+    ranks = tuple(ranks) if isinstance(ranks, list) else ranks
+    try:
+        tree, r = _resolve(fmt, ranks, X.shape, tree)
+    except TypeError:  # an unhashable rank, such as a dict: resolved (and rejected) uncached
+        tree, r = _resolve.__wrapped__(fmt, ranks, X.shape, tree)
     if fmt == "hosvd":
         return hosvd_truncate(X, r)
     if fmt == "tt":
         return tt_truncate(X, r)
     return ht_truncate(X, tree, r)
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: an HT rank 2.0, which clamp_ranks rejects, is not 2
+def _resolve(fmt: str, ranks, shape: tuple[int, ...], tree: DimensionTree | None):
+    """The tree (HT only) and clamped ranks of a truncation, a pure function of its arguments."""
+    if fmt == "ht":
+        tree = default_tree(tree, len(shape))
+    return tree, clamp_ranks(fmt, ranks, shape, tree)[1]  # rejects an unknown format
 
 
 def random_rank_r_tensor(shape, fmt: str, ranks, seed, tree: DimensionTree | None = None) -> np.ndarray:

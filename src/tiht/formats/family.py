@@ -86,6 +86,9 @@ class DimensionTree:
     def __eq__(self, other):
         return isinstance(other, DimensionTree) and self.children == other.children
 
+    def __hash__(self):
+        return hash(frozenset(self.children.items()))
+
     def __repr__(self):
         return f"DimensionTree({self.nested!r})"
 

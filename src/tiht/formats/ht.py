@@ -7,12 +7,13 @@ and every walk over the tree runs through its ``sets``, sons before fathers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._linalg import top_left_bases
-from ..tensors import check_shape, matricize, tensorize, unvec
+from ..tensors import check_shape, matricize, tensorize
 from .family import DimensionTree, default_tree, draw_ranks
 from .hosvd import hosvd_truncate
 
@@ -32,25 +33,27 @@ class HTDecomposition:
     frames: dict[int, np.ndarray]
     shape: tuple[int, ...]
 
-    def _frames(self, nodes) -> dict[tuple[int, ...], np.ndarray]:
-        """``U_t`` for every node of ``nodes``, which lists sons before fathers.
-
-        A leaf's frame is its leaf frame, an interior node's
-        ``kron(U_t2, U_t1) @ matricize(B_t, (1, 2))``.
-        """
+    @functools.cached_property
+    def _node_frames(self) -> dict[tuple[int, ...], np.ndarray]:
+        """``U_t`` for every non-root node, sons before fathers, computed once per decomposition."""
         U = {}
-        for t in nodes:
-            if len(t) == 1:
-                U[t] = self.frames[t[0]]
-            else:
-                s1, s2 = self.tree.children[t]
-                # (r1 * r2, r_t), left-son index fastest
-                U[t] = np.kron(U[s2], U[s1]) @ matricize(self.transfers[t], (1, 2))
+        for t in self.tree.sets:
+            U[t] = self._frame(t, U)
         return U
 
+    def _frame(self, t, U) -> np.ndarray:
+        """A leaf's frame is its leaf frame, an interior node's
+        ``kron(U_t2, U_t1) @ matricize(B_t, (1, 2))`` from its sons' frames in ``U``."""
+        if len(t) == 1:
+            return self.frames[t[0]]
+        s1, s2 = self.tree.children[t]
+        U1, U2 = U[s1], U[s2]
+        # np.kron's own product, (n2 * n1, r2 * r1) with the left son's index fastest
+        kron = (U2[:, None, :, None] * U1[None, :, None, :]).reshape(len(U2) * len(U1), -1)
+        return kron @ matricize(self.transfers[t], (1, 2))
+
     def reconstruct(self) -> np.ndarray:
-        v = self._frames(self.tree.sets + [self.tree.root])[self.tree.root]
-        return unvec(v[:, 0], self.shape)
+        return self._frame(self.tree.root, self._node_frames)[:, 0].reshape(self.shape, order="F")
 
     def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """``(t, U_t)`` for every non-root node t, in ``mode_sets`` order.
@@ -58,7 +61,7 @@ class HTDecomposition:
         The node frames have orthonormal columns whenever the leaf frames and
         the transfer tensors' {2,3}-flattenings do, as after :func:`ht_truncate`.
         """
-        return list(self._frames(self.tree.sets).items())
+        return list(self._node_frames.items())
 
 
 def ht_truncate(X: np.ndarray, tree: DimensionTree, ranks) -> HTDecomposition:

@@ -27,8 +27,8 @@ class TTDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         X = self.cores[0]
-        for G in self.cores[1:]:
-            X = np.tensordot(X, G, axes=(X.ndim - 1, 0))
+        for G in self.cores[1:]:  # tensordot's own product over the shared rank
+            X = np.dot(X.reshape(-1, len(G)), G.reshape(len(G), -1)).reshape(X.shape[:-1] + G.shape[1:])
         return X
 
     def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tensors import check_shape, unvec, vec
+from .tensors import check_shape
 
 __all__ = [
     "ENSEMBLES",
@@ -87,11 +87,11 @@ class GaussianEnsemble(MeasurementEnsemble):
 
     def apply(self, X):
         X = self._check_input(X)
-        return self.matrix @ vec(X)
+        return self.matrix @ X.reshape(-1, order="F")
 
     def adjoint(self, y):
         y = self._check_vector(y)
-        return unvec(self.matrix.T @ y, self.shape)
+        return (self.matrix.T @ y).reshape(self.shape, order="F")
 
 
 class FourierEnsemble(MeasurementEnsemble):
@@ -117,13 +117,13 @@ class FourierEnsemble(MeasurementEnsemble):
     def apply(self, X):
         X = self._check_input(X)
         F = np.fft.fftn(self.signs * X)
-        return vec(F)[self.omega] / math.sqrt(self.m)
+        return F.reshape(-1, order="F")[self.omega] / math.sqrt(self.m)
 
     def adjoint(self, y):
         y = self._check_vector(y)
         T = np.zeros(self.size, dtype=np.complex128)
         T[self.omega] = y
-        G = np.fft.ifftn(unvec(T, self.shape)) * self.size  # F_d^H
+        G = np.fft.ifftn(T.reshape(self.shape, order="F")) * self.size  # F_d^H
         return self.signs * G / math.sqrt(self.m)
 
 
@@ -137,13 +137,13 @@ class CompletionEnsemble(MeasurementEnsemble):
 
     def apply(self, X):
         X = self._check_input(X)
-        return self.scale * vec(X)[self.omega]
+        return self.scale * X.reshape(-1, order="F")[self.omega]
 
     def adjoint(self, y):
         y = self.scale * self._check_vector(y)
         out = np.zeros(self.size, dtype=y.dtype)
         out[self.omega] = y
-        return unvec(out, self.shape)
+        return out.reshape(self.shape, order="F")
 
 
 _KINDS = {

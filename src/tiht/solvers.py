@@ -23,13 +23,14 @@ test is reused as the next iteration's A(X^j).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .formats import FORMATS, DimensionTree, truncate
 from .measurements import MeasurementEnsemble
-from .tensors import frobenius_norm, matricize, tensorize, vec
+from .tensors import _layout, frobenius_norm, vec
 
 __all__ = [
     "VARIANTS",
@@ -130,14 +131,17 @@ class RankProjector:
     def __init__(self, shape: tuple[int, ...], blocks):
         self.shape = tuple(shape)
         self.blocks = list(blocks)  # (modes, orthonormal basis) pairs, in order
-        self._adjoints = [U.conj().T for _, U in self.blocks]
+        # each basis with its adjoint and the layout of its matricization
+        self._steps = [(U, U.conj().T, _layout(tuple(modes), self.shape)) for modes, U in self.blocks]
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z)
         if Z.shape != self.shape:
             raise ValueError(f"tensor of shape {Z.shape} does not match projector shape {self.shape}")
-        for (modes, U), UH in zip(self.blocks, self._adjoints):
-            Z = tensorize(U @ (UH @ matricize(Z, modes)), modes, self.shape)
+        # tensorize(U @ (UH @ matricize(Z, modes)), modes, shape), with the layout looked up once
+        for U, UH, (perm, inverse, rows, cols, permuted_shape) in self._steps:
+            M = U @ (UH @ Z.transpose(perm).reshape(rows, cols, order="F"))
+            Z = M.reshape(permuted_shape, order="F").transpose(inverse)
         return Z
 
 
@@ -160,7 +164,8 @@ def _mu_from_direction(A: MeasurementEnsemble, t: np.ndarray) -> tuple[float, bo
     den = float(np.vdot(At, At).real)
     if den == 0.0:
         return 1.0, True
-    return num / den, False
+    # an overflowed ||A(t)||^2 gives no step size: NaN, which ends the run as diverged
+    return (num / den if math.isfinite(den) else math.nan), False
 
 
 def tiht_run(
@@ -193,9 +198,9 @@ def tiht_run(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.max_iters):
             resid = y - (A.apply(X) if AX is None else AX)
-            resid_norm = float(np.linalg.norm(resid))
+            resid_norm = frobenius_norm(resid)
             g = A.adjoint(resid)
-            if not (np.isfinite(resid_norm) and np.all(np.isfinite(g))):
+            if not (math.isfinite(resid_norm) and np.isfinite(g).all()):
                 stop = "diverged"  # recorded outcome, not an error
                 break
             if ntiht:
@@ -211,7 +216,7 @@ def tiht_run(
             retries = 0
             while True:
                 Y = X + mu * g
-                if not np.all(np.isfinite(Y)):
+                if not np.isfinite(Y).all():
                     stop = "diverged"
                     break
                 D = truncate(Y, config.format, config.rank)
@@ -219,10 +224,10 @@ def tiht_run(
                 if not ntiht:
                     break
                 AX = A.apply(X_next)
-                if float(np.linalg.norm(y - AX)) <= resid_norm or retries == 60:
+                if frobenius_norm(y - AX) <= resid_norm or retries == 60:
                     break
                 omega, no_bound = _mu_from_direction(A, X_next - X)
-                if no_bound or not np.isfinite(omega) or mu <= omega:
+                if no_bound or not math.isfinite(omega) or mu <= omega:
                     break
                 mu = mu / 1.3 if mu / 1.3 > omega else 0.99 * omega
                 retries += 1
@@ -247,7 +252,7 @@ def tiht_run(
         final_error = success = None
         if X_ref is not None:
             diff_norm = frobenius_norm(X - X_ref)
-            final_error = diff_norm if np.isfinite(diff_norm) else float("inf")
+            final_error = diff_norm if math.isfinite(diff_norm) else float("inf")
             if success_threshold is not None:
                 success = bool(final_error < success_threshold)
 

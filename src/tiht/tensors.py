@@ -20,7 +20,6 @@ __all__ = [
     "check_shape",
     "as_tensor",
     "vec",
-    "unvec",
     "check_modes",
     "complement_modes",
     "matricize",
@@ -53,16 +52,7 @@ def as_tensor(data) -> np.ndarray:
 
 def vec(X: np.ndarray) -> np.ndarray:
     """Flatten to the documented linear order (first index fastest)."""
-    return np.reshape(X, -1, order="F")
-
-
-def unvec(x: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`vec` for the given shape."""
-    dims = check_shape(shape)
-    x = np.asarray(x)
-    if x.size != math.prod(dims):
-        raise ValueError(f"vector of length {x.size} does not fill shape {dims}")
-    return np.reshape(x, dims, order="F")
+    return np.asarray(X).reshape(-1, order="F")
 
 
 def check_modes(modes: Sequence[int], order: int) -> tuple[int, ...]:
@@ -106,7 +96,7 @@ def matricize(X: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     """
     X = np.asarray(X)
     perm, _, rows, cols, _ = _layout(tuple(modes), X.shape)
-    return np.transpose(X, perm).reshape(rows, cols, order="F")
+    return X.transpose(perm).reshape(rows, cols, order="F")
 
 
 def tensorize(M: np.ndarray, modes: Sequence[int], shape: Sequence[int]) -> np.ndarray:
@@ -117,7 +107,7 @@ def tensorize(M: np.ndarray, modes: Sequence[int], shape: Sequence[int]) -> np.n
         raise ValueError(
             f"matrix of shape {M.shape} inconsistent with modes {tuple(modes)} of shape {tuple(shape)}"
         )
-    return np.transpose(M.reshape(permuted_shape, order="F"), inverse)
+    return M.reshape(permuted_shape, order="F").transpose(inverse)
 
 
 def mode_product(X: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
@@ -135,12 +125,22 @@ def mode_product(X: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
             f"matrix of shape {A.shape} cannot contract mode {k} of extent {X.shape[k]}"
         )
     # tensordot's own contraction, without its and moveaxis's axis normalization
-    d = X.ndim
-    Y = np.dot(X.transpose(*range(k), *range(k + 1, d), k).reshape(-1, X.shape[k]), A.T)
-    Y = Y.reshape(X.shape[:k] + X.shape[k + 1 :] + A.shape[:1])
-    return Y.transpose(*range(k), d - 1, *range(k, d - 1))
+    to_last, back = _mode_axes(k, X.ndim)
+    Y = np.dot(X.transpose(to_last).reshape(-1, X.shape[k]), A.T)
+    return Y.reshape(X.shape[:k] + X.shape[k + 1 :] + A.shape[:1]).transpose(back)
+
+
+@functools.lru_cache(maxsize=64)
+def _mode_axes(k: int, d: int):
+    """The axis orders that move mode k of an order-d tensor last and back."""
+    return (*range(k), *range(k + 1, d), k), (*range(k), d - 1, *range(k, d - 1))
 
 
 def frobenius_norm(X: np.ndarray) -> float:
-    """sqrt of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(np.asarray(X)))
+    """sqrt of the sum of squared entry magnitudes: ``np.linalg.norm``'s arithmetic, without its dispatch."""
+    x = np.asarray(X).ravel(order="K")
+    if x.dtype.kind == "c":
+        return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+    if x.dtype.kind in "biu":
+        x = x.astype(float)
+    return float(np.sqrt(x.dot(x)))

@@ -17,7 +17,17 @@ from tiht.analysis import convergence_constants
 from tiht.experiments import _COLUMNS
 from tiht.formats import mode_sets
 from tiht.solvers import _mu_from_direction
-from tiht.tensors import as_tensor, matricize, vec
+from tiht.tensors import as_tensor, check_shape, matricize, vec
+
+
+def unvec(x, shape) -> np.ndarray:
+    """Inverse of ``tiht.tensors.vec`` for the given shape; the measurement
+    adjoints and the HT reconstruction reshape in place of it."""
+    dims = check_shape(shape)
+    x = np.asarray(x)
+    if x.size != math.prod(dims):
+        raise ValueError(f"vector of length {x.size} does not fill shape {dims}")
+    return np.reshape(x, dims, order="F")
 
 
 def ntiht_step_size(A, X_j, y, projector):

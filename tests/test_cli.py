@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import load_results
-from tiht import measurements
+from tiht import cli, measurements
 from tiht.cli import main
 
 
@@ -50,6 +50,29 @@ def test_recover_subcommand(tmp_path, capsys):
     assert payload["stop_reason"] == "converged"
     header = trace.read_text().splitlines()[0]
     assert header == "iteration,residual,step_norm,mu,eps_ratio"
+
+
+def test_in_process_calls_are_independent(tmp_path, capsys):
+    # every call parses with one parser, built once per process: a first
+    # call's --out must not leak into a second, nor a bad call into the next
+    assert cli._parser() is cli._parser()
+    out = tmp_path / "first.json"
+    argv = ["recover", "--shape", "4x4x4", "--nbar", "60", "--max-iters", "5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    first = json.loads(out.read_text())
+    assert main([*argv, "--format", "tt", "--seed", "2"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert (first["format"], first["rank"]) == ("hosvd", [1, 1, 1])
+    assert (second["format"], second["rank"]) == ("tt", [1, 1])
+    assert json.loads(out.read_text()) == first
+    for bad in (["--ensemble", "sparse"], ["--rank", "1,1"]):  # a parse error, then a rank error
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *bad])
+        assert exc.value.code == 2, bad
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == first
 
 
 def test_recover_requires_exactly_one_size_flag():

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import tiht.formats
 from oracles import probe_ranks
 from tiht.analysis import trip_estimate
 from tiht.experiments import ExperimentSpec
@@ -76,7 +77,8 @@ def test_family_mode_sets_clamp_and_rank_validation(shape, fmt, tree, sets, rank
 
 
 def test_one_ht_truncation_clamps_its_rank_once(monkeypatch):
-    # the HT leaf step hands its clamped leaf ranks straight to the HOSVD kernel
+    # the HT leaf step hands its clamped leaf ranks straight to the HOSVD kernel,
+    # and truncate resolves one (format, rank, shape, tree) once per process
     calls = []
 
     def counting(*args, **kwargs):
@@ -86,8 +88,52 @@ def test_one_ht_truncation_clamps_its_rank_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("tiht") and getattr(module, "clamp_ranks", None) is clamp_ranks:
             monkeypatch.setattr(module, "clamp_ranks", counting)
-    truncate(np.random.default_rng(59).standard_normal((4, 4, 4)), "ht", 2)
+    tiht.formats._resolve.cache_clear()
+    X = np.random.default_rng(59).standard_normal((4, 4, 4))
+    truncate(X, "ht", 2)
     assert len(calls) == 1
+    truncate(X + 1, "ht", np.int64(2))
+    assert len(calls) == 2  # a numpy integer is its own cache entry
+    truncate(2 * X, "ht", 2)
+    assert len(calls) == 2
+
+
+def test_truncate_resolves_equal_ranks_and_trees_alike():
+    rng = np.random.default_rng(60)
+    X = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+
+    def same(D, E):
+        return np.array_equal(D.reconstruct(), E.reconstruct()) and all(
+            S == T and np.array_equal(U, V) for (S, U), (T, V) in zip(D.blocks(), E.blocks(), strict=True)
+        )
+
+    for fmt, rank in (("hosvd", (2, 1, 3)), ("tt", (2, 3))):
+        D = truncate(X, fmt, rank)
+        assert same(D, truncate(X, fmt, list(rank)))
+        assert same(D, truncate(X, fmt, tuple(np.int64(r) for r in rank)))
+        assert same(D, truncate(X, fmt, np.array(rank)))  # unhashable: resolved uncached
+    balanced = truncate(X, "ht", 2)
+    assert same(balanced, truncate(X, "ht", np.int64(2), DimensionTree(((0, 1), 2))))
+    assert hash(DimensionTree(((0, 1), 2))) == hash(DimensionTree.balanced(3))
+    # an explicit tree is part of the key: it is not answered with the default tree
+    degenerate = truncate(X, "ht", 2, DimensionTree.degenerate(3))
+    assert degenerate.tree == DimensionTree.degenerate(3) != balanced.tree
+    assert [S for S, _ in degenerate.blocks()] == DimensionTree.degenerate(3).sets
+    assert not np.array_equal(degenerate.reconstruct(), balanced.reconstruct())
+
+
+@pytest.mark.parametrize(
+    "fmt, good, bad",
+    [("hosvd", (1, 1, 1), (1, 0, 1)), ("tt", (1, 1), (1, 1, 1)), ("ht", 2, 2.0)],
+    ids=["hosvd-zero", "tt-length", "ht-float"],
+)
+def test_truncate_rejects_a_bad_rank_on_every_call(fmt, good, bad):
+    # exceptions are never cached, and an HT rank 2.0 is not the cached 2
+    X = np.random.default_rng(61).standard_normal((3, 3, 3))
+    truncate(X, fmt, good)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            truncate(X, fmt, bad)
 
 
 @pytest.mark.parametrize("rank", [(1, 1, 1), [2], {(0, 2): 1, (2, 3): 1, (0, 1): 1, (1, 2): 1}])

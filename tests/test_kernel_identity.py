@@ -1,8 +1,11 @@
 """The truncation path's kernels against the forms they replaced, bit for bit.
 
 The references below are the earlier implementations: one SVD and a Python
-column loop per basis, ``tensordot`` plus ``moveaxis`` per mode product, and
-the recursive dimension-tree walks of the HT draw and the HT node frames.
+column loop per basis, ``tensordot`` plus ``moveaxis`` per mode product, the
+recursive dimension-tree walks of the HT draw and the HT node frames with
+``np.kron``, the ``tensordot`` chain of a TT reconstruction, the projector as
+``matricize``/``tensorize`` per block, the measurement maps through
+``vec``/``unvec`` and ``np.linalg.norm``.
 The kernels must agree with them under ``np.array_equal``, not within a
 tolerance, so that seeded traces stay identical.
 """
@@ -10,6 +13,7 @@ tolerance, so that seeded traces stay identical.
 import numpy as np
 import pytest
 
+from oracles import unvec
 from tiht._linalg import fix_svd_signs, signed_svd, top_left_bases
 from tiht.experiments import random_rank_r_tensor
 from tiht.formats import (
@@ -19,7 +23,9 @@ from tiht.formats import (
     mode_sets,
     truncate,
 )
-from tiht.tensors import matricize, mode_product, unvec
+from tiht.measurements import draw
+from tiht.solvers import RankProjector
+from tiht.tensors import frobenius_norm, matricize, mode_product, tensorize, vec
 
 
 def _loop_fix_svd_signs(U, SVt=None):
@@ -169,3 +175,114 @@ def test_ht_walks_are_the_recursive_walks_bit_for_bit(name):
             assert [S for S, _ in blocks] == tree.sets
             for S, U in blocks:
                 assert np.array_equal(U, _node_frame(D, S, known)), (r, field, S)
+
+
+def test_real_fix_svd_signs_is_the_column_loop_bit_for_bit():
+    # a real phase is +-1, so one broadcast product stands in for the loop;
+    # a zero column keeps its signed zeros and a NaN column turns all NaN
+    rng = np.random.default_rng(13)
+    for shape in ((10, 100), (100, 10), (1, 5), (5, 1)):
+        U, _, Vt = np.linalg.svd(rng.standard_normal(shape), full_matrices=False)
+        for r in range(1, U.shape[1] + 1):
+            U_ref, Vt_ref = _loop_fix_svd_signs(U[:, :r], Vt[:r])
+            U_new, Vt_new = fix_svd_signs(U[:, :r], Vt[:r])
+            assert np.array_equal(U_new, U_ref) and np.array_equal(Vt_new, Vt_ref), (shape, r)
+    U, _, Vt = np.linalg.svd(rng.standard_normal((6, 8)), full_matrices=False)
+    U[:, 1], U[:, 2], U[3, 4] = 0.0, -0.0, np.nan
+    for new, ref in zip(fix_svd_signs(U, Vt), _loop_fix_svd_signs(U, Vt)):
+        assert np.array_equal(new, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+    assert np.all(np.isnan(fix_svd_signs(U)[:, 4])) and np.all(np.signbit(fix_svd_signs(U)[:, 2]))
+    stack = np.stack([U, -U, np.zeros_like(U)])
+    fixed = fix_svd_signs(stack)
+    for i in range(len(stack)):
+        assert np.array_equal(fixed[i], _loop_fix_svd_signs(stack[i]), equal_nan=True), i
+
+
+def _tensordot_reconstruct(D):
+    X = D.cores[0]
+    for G in D.cores[1:]:
+        X = np.tensordot(X, G, axes=(X.ndim - 1, 0))
+    return X
+
+
+@pytest.mark.parametrize("shape, rank", [((10, 10, 10), (2, 2)), ((4, 5, 3, 6), (3, 4, 5)), ((2, 3), (1,))])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_tt_reconstruct_is_the_tensordot_chain_bit_for_bit(shape, rank, field):
+    D = truncate(_random(np.random.default_rng(14), shape, field), "tt", rank)
+    assert np.array_equal(D.reconstruct(), _tensordot_reconstruct(D))
+
+
+@pytest.mark.parametrize("name", list(HT_TREES))
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_ht_node_frames_are_computed_once_as_the_kron_form(name, field):
+    tree, shape = HT_TREES[name]
+    D = truncate(_random(np.random.default_rng(15), shape, field), "ht", 2, tree)
+    X = D.reconstruct()
+    blocks = D.blocks()
+    known = {}
+    for S, U in blocks:
+        assert np.array_equal(U, _node_frame(D, S, known)), S
+    assert np.array_equal(X, _recursive_reconstruct(D))
+    # reconstruct() and every blocks() share one set of node frames
+    assert all(U is V for (_, U), (_, V) in zip(blocks, D.blocks(), strict=True))
+
+
+def _composed_projector(shape, blocks, Z):
+    for modes, U in blocks:
+        Z = tensorize(U @ (U.conj().T @ matricize(Z, modes)), modes, shape)
+    return Z
+
+
+@pytest.mark.parametrize("fmt, rank", [("hosvd", (2, 1, 3, 2)), ("tt", (2, 3, 2)), ("ht", 2)])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rank_projector_is_the_matricize_tensorize_composition(fmt, rank, field):
+    rng = np.random.default_rng(16)
+    shape = (4, 5, 3, 6)
+    blocks = truncate(_random(rng, shape, field), fmt, rank).blocks()
+    Z = _random(rng, shape, field)
+    assert np.array_equal(RankProjector(shape, blocks)(Z), _composed_projector(shape, blocks, Z))
+
+
+def _unvec_adjoint(A, y):
+    if hasattr(A, "matrix"):
+        return unvec(A.matrix.T @ y, A.shape)
+    T = np.zeros(A.size, dtype=np.complex128 if hasattr(A, "signs") else y.dtype)
+    if hasattr(A, "signs"):
+        T[A.omega] = y
+        return A.signs * (np.fft.ifftn(unvec(T, A.shape)) * A.size) / np.sqrt(A.m)
+    T[A.omega] = A.scale * y
+    return unvec(T, A.shape)
+
+
+def _vec_apply(A, X):
+    if hasattr(A, "matrix"):
+        return A.matrix @ vec(X)
+    if hasattr(A, "signs"):
+        return vec(np.fft.fftn(A.signs * X))[A.omega] / np.sqrt(A.m)
+    return A.scale * vec(X)[A.omega]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "fourier", "completion"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_measurement_maps_are_the_vec_and_unvec_forms(kind, field):
+    rng = np.random.default_rng(17)
+    shape = (4, 5, 3)
+    A = draw(kind, shape, 30, 18)
+    X = _random(rng, shape, field)
+    y = _random(rng, (30,), field)
+    assert np.array_equal(A.apply(X), _vec_apply(A, X))
+    assert np.array_equal(A.adjoint(y), _unvec_adjoint(A, y))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_frobenius_norm_is_np_linalg_norm_bit_for_bit(field):
+    rng = np.random.default_rng(19)
+    for shape in ((1000,), (10, 10, 10), (4, 5, 3, 6), (1,)):
+        X = _random(rng, shape, field)
+        assert frobenius_norm(X) == float(np.linalg.norm(X)), shape
+        assert frobenius_norm(X[..., ::2]) == float(np.linalg.norm(X[..., ::2])), shape
+    with np.errstate(over="ignore"):
+        assert frobenius_norm(np.array([1e300, 1e300])) == float(np.linalg.norm([1e300, 1e300])) == np.inf
+    assert np.isnan(frobenius_norm(np.array([1.0, np.nan])))
+    assert frobenius_norm(np.arange(5)) == float(np.linalg.norm(np.arange(5)))

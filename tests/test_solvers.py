@@ -286,6 +286,17 @@ def test_overflowing_candidate_ends_the_run_as_diverged():
     assert res.iterations == 0 and not np.any(res.tensor)
 
 
+def test_overflowing_step_denominator_ends_the_run_as_diverged():
+    # ||M^0(g)||^2 ~ 1e280 is finite but ||A(M^0(g))||^2 ~ 1e440 overflows:
+    # mu = num / inf = 0 took a zero step and stopped as "converged" at X = 0
+    shape = (3, 3, 3)
+    A = GaussianEnsemble(1e80 * np.eye(27), shape)
+    X0 = 1e-20 * generate_test_tensor(shape, (1, 1, 1), seed=27)
+    res = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1)), X_ref=X0)  # a warning fails the test
+    assert res.stop_reason == "diverged"
+    assert res.iterations == 0 and not np.any(res.tensor)
+
+
 def test_first_projector_is_not_a_choice_of_coordinates():
     # M^0 of the zero iterate kept only entry (0, 0, 0) at rank (1, 1, 1); a
     # completion map that misses it measured M^0(A*(y)) as 0 and fell back to mu = 1

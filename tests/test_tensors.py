@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import inner_product
+from oracles import inner_product, unvec
 from tiht.tensors import (
     as_tensor,
     check_shape,
@@ -9,7 +9,6 @@ from tiht.tensors import (
     matricize,
     mode_product,
     tensorize,
-    unvec,
     vec,
 )
 

@@ -23,8 +23,9 @@ def test_trace_identity_dumps_the_ht_and_draw_arrays():
     # an API change that breaks the identity tool fails here, not at the next comparison
     tool = _tool()
     arrays = tool.ht_arrays(tiht) | tool.draw_arrays(tiht)
-    # 204 HT draws, reconstructions and node frames; 36 HOSVD and TT draws
-    assert len(arrays) == 240
+    # 204 HT draws, reconstructions and node frames; 36 HOSVD and TT draws and
+    # 96 HOSVD and TT reconstructions and frames
+    assert len(arrays) == 336
     assert all(np.all(np.isfinite(a)) for a in arrays.values())
 
 

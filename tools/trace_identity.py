@@ -17,7 +17,9 @@ real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
 ``degenerate(4)``, ``balanced(3)`` and the order-6 tree ``(((0, 1), 2), (3, (4, 5)))``,
 which is neither balanced nor degenerate.  It also saves HOSVD and TT draws of
 ``random_rank_r_tensor`` on the non-cubic shapes (4, 5, 3, 6) and (2, 3, 4), at
-three ranks each that the rank clamp leaves unchanged and three seeds.
+three ranks each that the rank clamp leaves unchanged and three seeds, and at
+the same shapes and ranks ``truncate``'s ``reconstruct()`` and ``blocks()``
+frames of a real and a complex tensor: 630 arrays in all.
 ``compare`` prints how many arrays are identical and the worst relative
 difference, and exits 1 unless all are.
 """
@@ -112,12 +114,18 @@ def draw_arrays(tiht) -> dict:
         ((2, 3, 4), "hosvd", ((1, 1, 1), (2, 2, 2), (2, 3, 4))),
         ((2, 3, 4), "tt", ((1, 1), (2, 2), (2, 4))),
     )
-    arrays = {}
+    rng, arrays = np.random.default_rng(2016), {}
     for shape, fmt, ranks in cases:
         for r in ranks:
+            label = f"{fmt}/{'x'.join(map(str, shape))}/rank{''.join(map(str, r))}"
             for seed in range(3):
-                label = f"{fmt}/{'x'.join(map(str, shape))}/rank{''.join(map(str, r))}/seed{seed}"
-                arrays[f"{label}/draw"] = tiht.experiments.random_rank_r_tensor(shape, fmt, r, [2016, seed])
+                arrays[f"{label}/seed{seed}/draw"] = tiht.experiments.random_rank_r_tensor(shape, fmt, r, [2016, seed])
+            for field in ("real", "complex"):
+                X = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
+                D = tiht.formats.truncate(X, fmt, r)
+                arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
+                for S, U in D.blocks():
+                    arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
     return arrays
 
 
