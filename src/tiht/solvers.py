@@ -16,8 +16,8 @@ the top of an iteration, or whose candidate Y is not finite, ends as diverged.
 Every NTIHT projector is built from the orthonormal frames (``blocks()``) of
 a truncation: M^j for j >= 1 from those of X^j = H_r(Y^{j-1}), and M^0, since
 X^0 = 0 spans nothing, from those of H_r(A*(y)), as normalized IHT starts
-from the support of H_K(A*(y)).  The A(X^{j+1}) of the safeguard's residual
-test is reused as the next iteration's A(X^j).
+from the support of H_K(A*(y)).  Each candidate is measured once, where it is
+made, for the safeguard's test and the next gradient.  X^0 = 0 has residual y.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ class RecoveryResult:
 
     @property
     def residuals(self) -> np.ndarray:
+        """Entry j is ||y - A(X^j)|| of the iterate before step j, so ``residuals[-1]`` is not ``tensor``'s."""
         return np.array([s.residual for s in self.trace])
 
     @property
@@ -191,14 +192,13 @@ def tiht_run(
     ntiht = config.variant == "ntiht"
     trace: list[IterateState] = []
     stop = "max_iters"
-    AX = None  # A(X) when the safeguard has already measured X
     D = None  # decomposition of the truncation that produced X
     # overflow along a diverging trajectory is detected and recorded below, so
     # the intermediate inf/nan arithmetic is expected and not worth warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        resid = y.astype(np.result_type(y, X), copy=False)  # y - A(X^0), as X^0 = 0
+        resid_norm = frobenius_norm(resid)
         for _ in range(config.max_iters):
-            resid = y - (A.apply(X) if AX is None else AX)
-            resid_norm = frobenius_norm(resid)
             g = A.adjoint(resid)
             if not (math.isfinite(resid_norm) and np.isfinite(g).all()):
                 stop = "diverged"  # recorded outcome, not an error
@@ -221,10 +221,9 @@ def tiht_run(
                     break
                 D = truncate(Y, config.format, config.rank)
                 X_next = D.reconstruct()
-                if not ntiht:
-                    break
-                AX = A.apply(X_next)
-                if frobenius_norm(y - AX) <= resid_norm or retries == 60:
+                next_resid = y - A.apply(X_next)
+                next_norm = frobenius_norm(next_resid)
+                if not ntiht or next_norm <= resid_norm or retries == 60:
                     break
                 omega, no_bound = _mu_from_direction(A, X_next - X)
                 if no_bound or not math.isfinite(omega) or mu <= omega:
@@ -244,7 +243,7 @@ def tiht_run(
                     eps_ratio = 0.0 if num <= 1e-10 * max(frobenius_norm(Y), 1.0) else float("inf")
             X_kept = X.copy() if config.keep_iterates else None
             trace.append(IterateState(mu, resid_norm, step_norm, eps_ratio, fallback, X_kept, retries))
-            X = X_next
+            X, resid, resid_norm = X_next, next_resid, next_norm
             if step_norm < config.conv_tol:
                 stop = "converged"
                 break

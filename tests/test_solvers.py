@@ -272,6 +272,19 @@ def test_overflowing_gradient_ends_the_run_as_diverged():
         assert res.iterations == 0 and not np.any(res.tensor), variant
 
 
+def test_overflowing_first_residual_ends_the_run_as_diverged():
+    # y = 1e200 X0 is finite, but ||y||^2 overflows: the residual of X^0 = 0
+    # is not finite, so both variants stop before any gradient is taken
+    shape = (3, 3, 3)
+    A = _identity_ensemble(shape)
+    y = A.apply(1e200 * generate_test_tensor(shape, (1, 1, 1), seed=27))
+    assert np.all(np.isfinite(y))
+    for variant in ("ntiht", "ctiht"):  # a warning fails the test: the suite makes warnings errors
+        res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1), variant=variant))
+        assert res.stop_reason == "diverged", variant
+        assert res.iterations == 0 and not np.any(res.tensor), variant
+
+
 def test_overflowing_candidate_ends_the_run_as_diverged():
     # y = 1e60 X0 and g = A*(y) = 1e160 X0 are finite, so the run passes the
     # top of its first iteration; ||M^0(g)||^2 overflows, so mu = inf / inf is
@@ -437,23 +450,65 @@ def test_factored_projector_matches_build_mj(field, fmt, shape, rank, tree):
     assert frobenius_norm(got - expected) <= 1e-12 * frobenius_norm(expected)
 
 
-class _CountingGaussian(GaussianEnsemble):
-    applies = 0
+class _CountingEnsemble:
+    """``A`` with a count of its ``apply`` calls."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.m, self.field = A, A.shape, A.m, A.field
+        self.applies = 0
 
     def apply(self, X):
         self.applies += 1
-        return super().apply(X)
+        return self.A.apply(X)
+
+    def adjoint(self, y):
+        return self.A.adjoint(y)
+
+
+# above the transition for rank (1, 1, 1) on SHAPE, with no safeguard retry
+_RECOVERING = (("gaussian", 200), ("fourier", 200), ("completion", 500))
 
 
 def test_ntiht_reuses_the_safeguard_measurement_of_the_iterate():
     X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=14)
-    base = draw("gaussian", SHAPE, 200, seed=15)
-    y = base.apply(X0)
-    for variant in ("ntiht", "ctiht"):
-        A = _CountingGaussian(base.matrix, SHAPE)
-        res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1), variant=variant), X_ref=X0, success_threshold=1e-3)
-        assert res.success and not any(s.retries for s in res.trace)
-        # NTIHT: A(X^0), then per iteration the step-size denominator and the
-        # residual test, whose A(X^{j+1}) is the next iteration's A(X^j)
-        expected = 2 * res.iterations + 1 if variant == "ntiht" else res.iterations
-        assert A.applies == expected, variant
+    for ensemble, m in _RECOVERING:
+        base = draw(ensemble, SHAPE, m, seed=15)
+        y = base.apply(X0)
+        threshold = 2.5e-3 if ensemble == "completion" else 1e-3
+        for variant in ("ntiht", "ctiht"):
+            A = _CountingEnsemble(base)
+            res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1), variant=variant), X_ref=X0, success_threshold=threshold)
+            assert res.success and not any(s.retries for s in res.trace), (ensemble, variant)
+            # X^0 = 0 is not measured (its residual is y); each candidate is
+            # measured once, and NTIHT adds the step-size denominator per iteration
+            expected = 2 * res.iterations if variant == "ntiht" else res.iterations
+            assert A.applies == expected, (ensemble, variant)
+
+
+def test_each_trace_residual_is_the_residual_of_its_iterate():
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=14)
+    runs = [(draw(ensemble, SHAPE, m, seed=15), X0, v) for ensemble, m in _RECOVERING for v in ("ctiht", "ntiht")]
+    # last, 3% measurements: below the transition, so the safeguard backs off
+    runs.append((draw("gaussian", SHAPE, 30, seed=31), generate_test_tensor(SHAPE, (1, 1, 1), seed=30), "ntiht"))
+    for A, X_true, variant in runs:
+        y = A.apply(X_true)
+        res = tiht_run(A, y, SolverConfig(rank=(1, 1, 1), variant=variant, max_iters=60, keep_iterates=True))
+        assert res.iterations > 1
+        for j, s in enumerate(res.trace):
+            assert s.residual == frobenius_norm(y - A.apply(s.X)), (type(A).__name__, variant, j)
+    assert any(s.retries for s in res.trace)
+
+
+def test_integer_and_single_precision_measurements_give_the_double_trace():
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=14)
+    for ensemble, m in _RECOVERING:
+        A = draw(ensemble, SHAPE, m, seed=15)
+        y = A.apply(X0).real  # real data, so that integer and float32 copies exist for every ensemble
+        for y_in in (np.round(1e3 * y).astype(np.int64), y.astype(np.float32)):
+            cfg = SolverConfig(rank=(1, 1, 1), max_iters=20)
+            got, expected = tiht_run(A, y_in, cfg), tiht_run(A, y_in.astype(np.float64), cfg)
+            label = (ensemble, y_in.dtype.name)
+            assert got.iterations == expected.iterations, label
+            for name in ("residuals", "mus", "step_norms"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), (label, name)
+            assert np.array_equal(got.tensor, expected.tensor), label
