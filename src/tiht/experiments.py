@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +148,10 @@ def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else TIHT_THREADS, else the CPU count."""
     if workers is None:
         env = os.environ.get("TIHT_THREADS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"TIHT_THREADS must be an integer, got {env!r}") from None
     return max(1, int(workers))
 
 
@@ -165,6 +167,7 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     if workers == 1:
         outcomes = [run_single_trial(*t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only a pooled sweep does
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
             outcomes = list(pool.map(run_single_trial, *zip(*tasks), chunksize=chunk))

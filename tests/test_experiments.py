@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from tiht.experiments import (
     generate_test_tensor,
     measurement_count,
     measurements_for,
+    resolve_workers,
     run_phase_diagram,
     run_single_trial,
     success_threshold,
@@ -187,13 +192,42 @@ def test_pool_is_sized_by_its_tasks(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("tiht.experiments.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     spec = _small_spec(grid=(50,), trials=2, max_iters=30)
     assert run_phase_diagram(spec, workers=32).cells == run_phase_diagram(spec, workers=1).cells
     monkeypatch.setenv("TIHT_THREADS", "32")
     run_phase_diagram(spec)
     run_phase_diagram(dataclasses.replace(spec, trials=1))  # one task runs in process
     assert sizes == [2, 2]
+
+
+def test_malformed_tiht_threads_is_named(monkeypatch):
+    monkeypatch.setenv("TIHT_THREADS", "two")
+    with pytest.raises(ValueError, match="TIHT_THREADS must be an integer, got 'two'"):
+        resolve_workers()
+    assert resolve_workers(3) == 3  # an explicit count does not read the variable
+    monkeypatch.setenv("TIHT_THREADS", " 3 ")
+    assert resolve_workers() == 3
+
+
+_SERIAL_FOOTPRINT = """
+import sys
+import tiht.cli
+from tiht.experiments import ExperimentSpec, run_phase_diagram
+
+tiht.cli.main(["recover", "--shape", "4x4x4", "--rank", "1,1,1", "--nbar", "60", "--max-iters", "5"])
+spec = ExperimentSpec(shape=(4, 4, 4), rank=(1, 1, 1), grid=(60,), trials=2, max_iters=5)
+run_phase_diagram(spec, workers=1)
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def test_recover_and_serial_sweeps_do_not_load_the_process_pool():
+    # the pool's modules cost about 2 MB of RSS; only a pooled sweep may pay for them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SERIAL_FOOTPRINT], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_phase_diagram_transition_summaries():

@@ -5,10 +5,13 @@ column loop per basis, ``tensordot`` plus ``moveaxis`` per mode product, the
 recursive dimension-tree walks of the HT draw and the HT node frames with
 ``np.kron``, the ``tensordot`` chain of a TT reconstruction, the projector as
 ``matricize``/``tensorize`` per block, the measurement maps through
-``vec``/``unvec`` and ``np.linalg.norm``.
+``vec``/``unvec``, the Gaussian matrix as a new quotient by sqrt(m) and
+``np.linalg.norm``.
 The kernels must agree with them under ``np.array_equal``, not within a
 tolerance, so that seeded traces stay identical.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -273,6 +276,16 @@ def test_measurement_maps_are_the_vec_and_unvec_forms(kind, field):
     y = _random(rng, (30,), field)
     assert np.array_equal(A.apply(X), _vec_apply(A, X))
     assert np.array_equal(A.adjoint(y), _unvec_adjoint(A, y))
+
+
+@pytest.mark.parametrize(
+    "shape, m", [((10, 10, 10), 30), ((10, 10, 10), 80), ((10, 10, 10), 240), ((10, 10, 10), 400), ((4, 5, 3, 6), 97)]
+)
+def test_gaussian_draw_is_the_quotient_by_sqrt_m_bit_for_bit(shape, m):
+    # the draw scales its matrix in place; IEEE division rounds as the new quotient does
+    seed = [2016, m, 0, 1]
+    reference = np.random.default_rng(seed).standard_normal((m, math.prod(shape))) / math.sqrt(m)
+    assert np.array_equal(draw("gaussian", shape, m, seed).matrix, reference)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -1,6 +1,8 @@
 """The committed tools run against the working tree's API."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,12 @@ import numpy as np
 
 import tiht
 
-TRACE_IDENTITY = Path(__file__).resolve().parents[1] / "tools" / "trace_identity.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TRACE_IDENTITY = TOOLS / "trace_identity.py"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("trace_identity", TRACE_IDENTITY)
+def _tool(name="trace_identity"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -57,3 +60,98 @@ def test_trace_identity_compare_exit_status_gates_on_every_array(tmp_path):
     assert changed.returncode == 1
     assert changed.stdout.splitlines()[0] == "run/mus: differs or is missing on one side"
     assert "1/2 arrays identical" in changed.stdout
+
+
+def _run_doc(correct=True, failed=0, **metrics):
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {name: {"value": value, "unit": "u"} for name, value in metrics.items()},
+        "environment": {"nproc": 2},
+    }
+
+
+def test_bench_pairs_summary_counts_wins_by_direction_and_gives_exclusive_quartiles():
+    tool = _tool("bench_pairs")
+    parent_rss = [48.6, 48.5, 48.7, 48.6, 48.4]
+    change_rss = [46.2, 48.5, 46.0, 46.1, 46.3]  # pair 2 is a tie
+    parent_rate = [40.0, 41.0, 42.0, 43.0, 44.0]
+    change_rate = [39.0, 42.0, 42.0, 45.0, 50.0]  # worse, better, tie, better, better
+    pairs = [
+        {"parent": _run_doc(peak_rss_mb=pr, trials_per_s=pt), "change": _run_doc(peak_rss_mb=cr, trials_per_s=ct)}
+        for pr, cr, pt, ct in zip(parent_rss, change_rss, parent_rate, change_rate)
+    ]
+    better = tool.directions(json.loads((TOOLS.parent / "BENCHMARK.json").read_text()))
+    assert better["peak_rss_mb"] == "lower" and better["trials_per_s"] == "higher"
+    summary = tool.summarize(pairs, better)
+    assert set(summary) == {"peak_rss_mb", "trials_per_s"}  # metrics the runs lack are left out
+
+    rss = summary["peak_rss_mb"]
+    assert rss["better"] == "lower"
+    assert rss["change_wins"] == 4 and rss["pairs"] == 5  # lower wins; the tie counts for neither side
+    # exclusive quartiles of 48.4 48.5 48.6 48.6 48.7: ranks 1.5 and 4.5
+    assert rss["parent"]["median"] == 48.6
+    assert np.isclose(rss["parent"]["q1"], 48.45) and np.isclose(rss["parent"]["q3"], 48.65)
+    assert np.isclose(rss["parent"]["iqr"], 0.2)
+    assert np.isclose(rss["median_ratio_change_over_parent"], 46.2 / 48.6)
+
+    rate = summary["trials_per_s"]
+    assert rate["change_wins"] == 3
+    assert rate["change"]["median"] == 42.0
+    assert np.isclose(rate["change"]["q1"], 40.5) and np.isclose(rate["change"]["q3"], 47.5)
+
+    assert tool.all_clean([p[s] for p in pairs for s in ("parent", "change")])
+    assert not tool.all_clean([_run_doc(), _run_doc(failed=1)])
+    assert not tool.all_clean([_run_doc(correct=False)])
+
+
+_STUB_RUN = """
+import argparse, json, pathlib, sys
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--trace", "--out"):
+    p.add_argument(flag)
+a = p.parse_args()
+side = pathlib.Path.cwd().name
+with open(pathlib.Path.cwd().parent / "order.log", "a") as log:
+    log.write(f"{side} {a.trace} {sys.executable}\\n")
+rss = 48.0 if side == "parent" else 46.0
+doc = {"workload": a.workload, "seed": int(a.seed), "trace": int(a.trace), "correct": side == "parent" or a.trace == "0",
+       "attempted": 1, "failed": 0, "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"}}, "first_round": []}
+pathlib.Path(a.out).write_text(json.dumps(doc))
+"""
+
+
+def test_bench_pairs_alternates_sides_and_fails_on_an_incorrect_run(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(_STUB_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text((TOOLS.parent / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH.json"
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seed", "7", "--pairs", "3"]
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "bench_pairs.py"), *args, "--out", str(out), "--claim", "peak_rss_mb"],
+        capture_output=True, text=True, env={**os.environ, "PATH": str(tmp_path)},  # no python3 on PATH
+    )
+    # the stub's traced change run reports correct: false
+    assert proc.returncode == 1, proc.stderr
+    order = [line.split(" ", 2) for line in (tmp_path / "order.log").read_text().splitlines()]
+    sides = ["parent 0", "change 0", "change 0", "parent 0", "parent 0", "change 0", "parent 1", "change 1"]
+    assert [f"{side} {trace}" for side, trace, _ in order] == sides
+    assert {python for _, _, python in order} == {sys.executable}  # the tool's own interpreter, not PATH's
+    document = json.loads(out.read_text())
+    entry = document["untraced"]["w@7"]
+    assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
+    assert entry["summary"]["peak_rss_mb"]["change_wins"] == 3
+    assert entry["all_correct"] and entry["failed_operations"] == 0
+    assert document["traced"]["w@7"]["layers"]["peak_rss_mb"] == {"parent": 48.0, "change": 46.0, "unit": "MB"}
+    assert document["claimed"] == {"workload": "w", "metric": "peak_rss_mb", "seeds": [7]}
+    assert "exclusive" in document["quartile_rule"]
+
+    # a second call for the same workload and seed is refused before it runs, and FILE keeps the first
+    written = out.read_text()
+    again = subprocess.run([sys.executable, str(TOOLS / "bench_pairs.py"), *args, "--out", str(out)],
+                           capture_output=True, text=True)
+    assert again.returncode != 0 and "already holds w@7" in again.stderr
+    assert len((tmp_path / "order.log").read_text().splitlines()) == 8
+    assert out.read_text() == written
