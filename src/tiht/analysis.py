@@ -16,7 +16,7 @@ import numpy as np
 from .formats import FORMATS, random_rank_r_tensor
 from .measurements import MeasurementEnsemble
 from .solvers import VARIANTS
-from .tensors import frobenius_norm
+from .tensors import check_count, frobenius_norm
 
 __all__ = [
     "TripEstimate",
@@ -52,8 +52,7 @@ def trip_estimate(A: MeasurementEnsemble, fmt: str, rank, n_samples: int, seed: 
     prefix with a smaller one.  numpy pads seed lists with zeros, so an
     ensemble drawn from ``seed`` itself would share sample 0's stream.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = check_count("n_samples", n_samples)
     deviations = np.empty(n_samples)
     for i in range(n_samples):
         X = random_rank_r_tensor(A.shape, fmt, rank, [seed, i])
@@ -73,8 +72,8 @@ class SampleComplexityBound:
 def _check_formula_args(fmt, d, n, r):
     if fmt not in FORMATS:
         raise ValueError(f"unknown tensor format {fmt!r}")
-    if d < 1 or n < 1 or r < 1:
-        raise ValueError("d, n, r must be positive")
+    for name, value in (("d", d), ("n", n), ("r", r)):
+        check_count(name, value)
 
 
 def _dof(fmt: str, d: int, n: int, r: int) -> int:

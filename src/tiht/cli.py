@@ -28,25 +28,21 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
-    """Comma list ("3,8,24") and/or ranges ("1:30" or "5:50:5"); the spec sorts and de-duplicates."""
+    """Comma list ("3,8,24") and/or ranges ("1:30" or "5:50:5"); the spec sorts and de-duplicates.
+
+    Every field is a percentage or a range lo:hi[:step] that holds one; any
+    other field, an empty one too, is an error, not skipped.
+    """
     values: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            pieces = [int(p) for p in part.split(":")]
-            if len(pieces) == 2:
-                lo, hi, step = pieces[0], pieces[1], 1
-            elif len(pieces) == 3:
-                lo, hi, step = pieces
-            else:
-                raise ValueError(f"bad grid range {part!r}")
-            values.extend(range(lo, hi + 1, step))
-        else:
-            values.append(int(part))
-    if not values:
-        raise ValueError(f"grid {text!r} holds no percentage")
+        pieces = part.split(":")
+        field = range(0)
+        if len(pieces) <= 3 and all(p.strip() for p in pieces):
+            lo, hi, step = map(int, pieces) if len(pieces) == 3 else (int(pieces[0]), int(pieces[-1]), 1)
+            field = range(lo, hi + 1, step)
+        if not field:
+            raise argparse.ArgumentTypeError(f"grid field {part!r} holds no percentage")
+        values.extend(field)
     return tuple(values)
 
 
@@ -90,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover one seeded random instance")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("--nbar", type=int, default=None, help="measurements as percent of N")
-    p.add_argument("--m", type=int, default=None, help="absolute measurement count")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--nbar", type=int, help="measurements as percent of N")
+    size.add_argument("--m", type=int, help="absolute measurement count")
     p.add_argument("--trace-out", default=None, help="write the iteration trace as CSV")
     p.add_argument("--out", default=None, help="write the JSON summary here instead of stdout")
 
@@ -135,8 +132,6 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_recover(args) -> int:
-    if (args.nbar is None) == (args.m is None):
-        raise ValueError("recover needs exactly one of --nbar / --m")
     threshold = experiments.success_threshold(args.ensemble, args.threshold)
     shape = args.shape
     m = args.m if args.m is not None else experiments.measurement_count(shape, args.nbar)

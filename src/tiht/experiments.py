@@ -21,7 +21,7 @@ import numpy as np
 from .formats import draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
 from .measurements import ENSEMBLES, draw
 from .solvers import SolverConfig, tiht_run
-from .tensors import check_shape
+from .tensors import check_count, check_shape
 
 __all__ = [
     "ExperimentSpec",
@@ -74,13 +74,11 @@ class ExperimentSpec(SolverConfig):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "shape", check_shape(self.shape))
-        object.__setattr__(self, "grid", tuple(sorted({int(g) for g in self.grid})))
-        if not self.grid or any(not 1 <= g <= 100 for g in self.grid):
+        object.__setattr__(self, "grid", tuple(sorted({check_count("grid value", g) for g in self.grid})))
+        if not self.grid or self.grid[-1] > 100:
             raise ValueError(f"grid must hold one or more percentages in 1..100, got {self.grid}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count("trials", self.trials)
+        check_count("seed", self.seed, 0)
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
         draw_ranks(self.format, self.rank, self.shape)  # validates the rank
 

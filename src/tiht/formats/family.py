@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..tensors import check_shape
+from ..tensors import check_count, check_shape
 
 FORMATS = ("hosvd", "tt", "ht")
 
@@ -32,10 +32,8 @@ class DimensionTree:
         level: dict[tuple[int, ...], int] = {}
 
         def parse(sub, depth):
-            if isinstance(sub, int):
-                if sub < 0:
-                    raise ValueError("mode indices must be nonnegative")
-                node = (sub,)
+            if isinstance(sub, (int, np.integer)):
+                node = (check_count("mode index", sub, 0),)
             else:
                 try:
                     left, right = sub
@@ -139,11 +137,9 @@ def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
         ranks = [ranks] * len(sets)
     elif isinstance(ranks, (int, np.integer)):
         raise ValueError(f"a {fmt} rank is a sequence of one int per mode set, got {ranks!r}")
-    r = tuple(int(v) for v in ranks)
+    r = tuple(check_count("rank", v) for v in ranks)
     if len(r) != len(sets):
         raise ValueError(f"{fmt} rank {r} must have length {len(sets)} for order {len(dims)}")
-    if any(v < 1 for v in r):
-        raise ValueError(f"ranks must be >= 1, got {r}")
     N = math.prod(dims)
     rows = [math.prod(dims[k] for k in S) for S in sets]
     r = [min(v, n, N // n) for v, n in zip(r, rows)]

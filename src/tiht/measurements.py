@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tensors import check_shape
+from .tensors import check_count, check_shape
 
 __all__ = [
     "ENSEMBLES",
@@ -35,9 +35,7 @@ class MeasurementEnsemble:
     def __init__(self, shape, m: int):
         self.shape = check_shape(shape)
         self.size = math.prod(self.shape)
-        if m < 1:
-            raise ValueError(f"number of measurements must be >= 1, got {m}")
-        self.m = int(m)
+        self.m = check_count("m", m)
 
     @property
     def field(self) -> str:
@@ -80,8 +78,8 @@ class GaussianEnsemble(MeasurementEnsemble):
 
     @classmethod
     def draw(cls, shape, m: int, seed) -> "GaussianEnsemble":
-        shape = check_shape(shape)
-        A = np.random.default_rng(seed).standard_normal((int(m), math.prod(shape)))
+        shape, m = check_shape(shape), check_count("m", m)
+        A = np.random.default_rng(seed).standard_normal((m, math.prod(shape)))
         A /= math.sqrt(m)  # the bits of a new quotient, without NumPy's first temporary reuse (about 0.5 MB RSS)
         return cls(A, shape)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .formats import FORMATS, DimensionTree, truncate
 from .measurements import MeasurementEnsemble
-from .tensors import _layout, frobenius_norm, vec
+from .tensors import _layout, check_count, frobenius_norm, vec
 
 __all__ = [
     "VARIANTS",
@@ -63,8 +63,7 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_count("max_iters", self.max_iters)
         if not self.conv_tol > 0:
             raise ValueError("conv_tol must be positive")
 

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "check_count",
     "check_shape",
     "as_tensor",
     "vec",
@@ -32,13 +33,18 @@ _REAL_DTYPE = np.float64
 _COMPLEX_DTYPE = np.complex128
 
 
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int: a count (extent, mode index, rank, m, ...) is an int or NumPy integer >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    """Validate tensor extents: order >= 1 and every extent >= 1."""
-    dims = tuple(int(n) for n in shape)
-    if len(dims) < 1:
+    """Validate tensor extents: order >= 1 and every extent a count >= 1."""
+    dims = tuple(check_count("extent", n) for n in shape)
+    if not dims:
         raise ValueError("tensor order must be at least 1")
-    if any(n < 1 for n in dims):
-        raise ValueError(f"all extents must be >= 1, got {dims}")
     return dims
 
 
@@ -57,10 +63,10 @@ def vec(X: np.ndarray) -> np.ndarray:
 
 def check_modes(modes: Sequence[int], order: int) -> tuple[int, ...]:
     """Validate a mode set: strictly increasing, nonempty subset of range(order)."""
-    S = tuple(int(k) for k in modes)
-    if len(S) == 0:
+    S = tuple(check_count("mode index", k, 0) for k in modes)
+    if not S:
         raise ValueError("mode set must be nonempty")
-    if any(k < 0 or k >= order for k in S):
+    if any(k >= order for k in S):
         raise ValueError(f"mode set {S} out of range for order {order}")
     if any(a >= b for a, b in zip(S, S[1:])):
         raise ValueError(f"mode set {S} must be strictly increasing")
@@ -118,7 +124,7 @@ def mode_product(X: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
     """
     X = np.asarray(X)
     A = np.asarray(A)
-    if not 0 <= k < X.ndim:
+    if check_count("mode index", k, 0) >= X.ndim:
         raise ValueError(f"mode {k} out of range for order {X.ndim}")
     if A.ndim != 2 or A.shape[1] != X.shape[k]:
         raise ValueError(

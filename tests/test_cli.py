@@ -173,6 +173,15 @@ def test_empty_grid_exits_with_status_2(capsys):
     assert "--grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, field", [("30,,60", "''"), ("30,60:40", "'60:40'"), ("1:2:3:4", "'1:2:3:4'")])
+def test_grid_field_without_a_percentage_exits_with_status_2(grid, field, capsys):
+    # an empty field, an empty range and a range of four fields are errors, not skipped
+    with pytest.raises(SystemExit) as exc:
+        main(["phase", "--shape", "4x4", "--rank", "1,1", "--grid", grid, "--trials", "1"])
+    assert exc.value.code == 2
+    assert f"grid field {field}" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_bad_arguments():
     proc = subprocess.run(
         [sys.executable, "-m", "tiht.cli", "phase", "--ensemble", "sparse"],
