@@ -16,7 +16,7 @@ import numpy as np
 from .formats import FORMATS, random_rank_r_tensor
 from .measurements import MeasurementEnsemble
 from .solvers import VARIANTS
-from .tensors import check_count, frobenius_norm
+from .tensors import check_count, check_real, frobenius_norm
 
 __all__ = [
     "TripEstimate",
@@ -52,7 +52,7 @@ def trip_estimate(A: MeasurementEnsemble, fmt: str, rank, n_samples: int, seed: 
     prefix with a smaller one.  numpy pads seed lists with zeros, so an
     ensemble drawn from ``seed`` itself would share sample 0's stream.
     """
-    n_samples = check_count("n_samples", n_samples)
+    n_samples, seed = check_count("n_samples", n_samples), check_count("seed", seed, 0)
     deviations = np.empty(n_samples)
     for i in range(n_samples):
         X = random_rank_r_tensor(A.shape, fmt, rank, [seed, i])
@@ -90,8 +90,7 @@ def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob:
     for TT and HT.
     """
     _check_formula_args(fmt, d, n, r)
-    if not 0 < delta < 1 or not 0 < fail_prob < 1:
-        raise ValueError("delta and fail_prob must lie in (0, 1)")
+    delta, fail_prob = check_real("delta", delta, "(0, 1)"), check_real("fail_prob", fail_prob, "(0, 1)")
     dof = _dof(fmt, d, n, r) * math.log(d if fmt == "hosvd" else d * r)
     bound = delta**-2 * max(dof, math.log(1.0 / fail_prob))
     return SampleComplexityBound(bound=bound, dof_term=dof)
@@ -105,10 +104,7 @@ def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, et
     TT and HT.
     """
     _check_formula_args(fmt, d, n, r)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    delta, eta = check_real("delta", delta, "(0, 1)"), check_real("eta", eta)
     log2 = math.log(float(n) ** d) ** 2
     base = (1.0 / delta) * (1.0 + eta) * log2
     if fmt == "hosvd":
@@ -126,8 +122,7 @@ def covering_bound(fmt: str, d: int, n: int, r: int, eps: float) -> float:
     log(3 (2d-1) sqrt(r) / eps).
     """
     _check_formula_args(fmt, d, n, r)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_real("eps", eps, "(0, 1]")
     if fmt == "hosvd":
         base = 3.0 * (d + 1) / eps
     else:
@@ -155,12 +150,8 @@ def convergence_constants(variant: str, a: float, delta3r: float, opnorm: float)
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if not 0 < a < 1:
-        raise ValueError("a must lie in (0, 1)")
-    if not 0 <= delta3r < 1:
-        raise ValueError("delta3r must lie in [0, 1)")
-    if not opnorm > 0:
-        raise ValueError("opnorm must be positive")
+    a, delta3r = check_real("a", a, "(0, 1)"), check_real("delta3r", delta3r, "[0, 1)")
+    opnorm = check_real("opnorm", opnorm)
     root = math.sqrt(1.0 + delta3r)
     if variant == "ctiht":
         delta_of_a = a / 4.0

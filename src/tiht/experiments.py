@@ -21,7 +21,7 @@ import numpy as np
 from .formats import draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
 from .measurements import ENSEMBLES, draw
 from .solvers import SolverConfig, tiht_run
-from .tensors import check_count, check_shape
+from .tensors import check_count, check_real, check_shape
 
 __all__ = [
     "ExperimentSpec",
@@ -41,18 +41,16 @@ DEFAULT_THRESHOLDS = {kind: 2.5e-3 if kind == "completion" else 1e-3 for kind in
 
 
 def success_threshold(ensemble: str, threshold: float | None = None) -> float:
-    """``threshold``, or the ensemble's default when it is None; it must be positive."""
+    """``threshold``, or the ensemble's default when it is None; a threshold is a real in (0, inf)."""
     if ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {', '.join(ENSEMBLES)}")
-    if threshold is None:
-        return DEFAULT_THRESHOLDS[ensemble]
-    if not threshold > 0:
-        raise ValueError(f"success threshold must be positive, got {threshold}")
-    return threshold
+    return DEFAULT_THRESHOLDS[ensemble] if threshold is None else check_real("success_threshold", threshold)
 
 
 def measurement_count(shape, nbar: int) -> int:
-    """m = ceil(N * nbar / 100) for a tensor of ``shape``, in exact integer arithmetic."""
+    """m = ceil(N * nbar / 100) for a tensor of ``shape``, in exact integer arithmetic; nbar is a percentage."""
+    if check_count("nbar", nbar) > 100:
+        raise ValueError(f"nbar must be an integer in 1..100, got {nbar!r}")
     return -(-math.prod(shape) * nbar // 100)
 
 
@@ -74,9 +72,10 @@ class ExperimentSpec(SolverConfig):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "shape", check_shape(self.shape))
-        object.__setattr__(self, "grid", tuple(sorted({check_count("grid value", g) for g in self.grid})))
-        if not self.grid or self.grid[-1] > 100:
-            raise ValueError(f"grid must hold one or more percentages in 1..100, got {self.grid}")
+        object.__setattr__(self, "grid", tuple(sorted({check_count("nbar", g) for g in self.grid})))
+        if not self.grid:
+            raise ValueError("grid must hold one or more percentages, got ()")
+        measurement_count(self.shape, self.grid[-1])  # the largest percentage passes the percentage check
         check_count("trials", self.trials)
         check_count("seed", self.seed, 0)
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))

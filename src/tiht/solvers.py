@@ -30,7 +30,7 @@ import numpy as np
 
 from .formats import FORMATS, DimensionTree, truncate
 from .measurements import MeasurementEnsemble
-from .tensors import _layout, check_count, frobenius_norm, vec
+from .tensors import _layout, check_count, check_real, frobenius_norm, vec
 
 __all__ = [
     "VARIANTS",
@@ -64,8 +64,7 @@ class SolverConfig:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         check_count("max_iters", self.max_iters)
-        if not self.conv_tol > 0:
-            raise ValueError("conv_tol must be positive")
+        object.__setattr__(self, "conv_tol", check_real("conv_tol", self.conv_tol))
 
 
 @dataclass
@@ -132,7 +131,7 @@ class RankProjector:
         self.shape = tuple(shape)
         self.blocks = list(blocks)  # (modes, orthonormal basis) pairs, in order
         # each basis with its adjoint and the layout of its matricization
-        self._steps = [(U, U.conj().T, _layout(tuple(modes), self.shape)) for modes, U in self.blocks]
+        self._steps = [(U, U.conj().T, _layout(self.shape, *modes)) for modes, U in self.blocks]
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z)
@@ -186,6 +185,7 @@ def tiht_run(
         raise ValueError(f"measurement vector of shape {y.shape}, expected ({A.m},)")
     if X_ref is not None and np.shape(X_ref) != A.shape:
         raise ValueError(f"reference tensor of shape {np.shape(X_ref)}, expected {A.shape}")
+    success_threshold = None if success_threshold is None else check_real("success_threshold", success_threshold)
     X = np.zeros(A.shape, dtype=np.complex128 if A.field == "complex" else np.float64)
 
     ntiht = config.variant == "ntiht"

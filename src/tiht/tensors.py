@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "check_count",
+    "check_real",
     "check_shape",
     "as_tensor",
     "vec",
@@ -34,10 +35,19 @@ _COMPLEX_DTYPE = np.complex128
 
 
 def check_count(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int: a count (extent, mode index, rank, m, ...) is an int or NumPy integer >= ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """``value`` as an int: a count (extent, rank, m, ...) is an int or NumPy integer >= ``minimum``; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, interval: str = "(0, inf)") -> float:
+    """``value`` as a float: an int, float or NumPy real, not a bool, in ``interval`` ("[0, 1)", "(0, inf)", ...)."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and lo <= value <= hi) or value == lo and interval[0] == "(" or value == hi and interval[-1] == ")":
+        raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
+    return float(value)
 
 
 def check_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -78,12 +88,12 @@ def complement_modes(modes: Sequence[int], order: int) -> tuple[int, ...]:
     return tuple(k for k in range(order) if k not in S)
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(modes: tuple[int, ...], shape: tuple[int, ...]):
+@functools.lru_cache(maxsize=256, typed=True)
+def _layout(shape: tuple[int, ...], *modes: int):
     """Validated layout of the S-matricization of a tensor of this shape.
 
-    The axis permutation (row modes, then the rest), its inverse, the row and
-    column counts and the permuted extents, computed once per (modes, shape).
+    The axis permutation (row modes, then the rest), its inverse, the row and column counts and
+    the permuted extents, computed once per shape and modes, typed: a bool mode is not cached as 0 or 1.
     """
     dims = check_shape(shape)
     S = check_modes(modes, len(dims))
@@ -101,14 +111,14 @@ def matricize(X: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     (prod of row extents) x (prod of column extents) matrix.
     """
     X = np.asarray(X)
-    perm, _, rows, cols, _ = _layout(tuple(modes), X.shape)
+    perm, _, rows, cols, _ = _layout(X.shape, *modes)
     return X.transpose(perm).reshape(rows, cols, order="F")
 
 
 def tensorize(M: np.ndarray, modes: Sequence[int], shape: Sequence[int]) -> np.ndarray:
     """Exact inverse of :func:`matricize` for the same mode set and shape."""
     M = np.asarray(M)
-    perm, inverse, rows, cols, permuted_shape = _layout(tuple(modes), tuple(shape))
+    perm, inverse, rows, cols, permuted_shape = _layout(tuple(shape), *modes)
     if M.shape != (rows, cols):
         raise ValueError(
             f"matrix of shape {M.shape} inconsistent with modes {tuple(modes)} of shape {tuple(shape)}"

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tiht
 
@@ -82,9 +83,11 @@ def test_bench_pairs_summary_counts_wins_by_direction_and_gives_exclusive_quarti
         {"parent": _run_doc(peak_rss_mb=pr, trials_per_s=pt), "change": _run_doc(peak_rss_mb=cr, trials_per_s=ct)}
         for pr, cr, pt, ct in zip(parent_rss, change_rss, parent_rate, change_rate)
     ]
-    better = tool.directions(json.loads((TOOLS.parent / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    better, bound = tool.directions(benchmark), tool.bounds(benchmark)
     assert better["peak_rss_mb"] == "lower" and better["trials_per_s"] == "higher"
-    summary = tool.summarize(pairs, better)
+    assert bound["peak_rss_mb"] == 0.05 and bound["trials_per_s"] == 0.25
+    summary = tool.summarize(pairs, better, bound)
     assert set(summary) == {"peak_rss_mb", "trials_per_s"}  # metrics the runs lack are left out
 
     rss = summary["peak_rss_mb"]
@@ -104,6 +107,30 @@ def test_bench_pairs_summary_counts_wins_by_direction_and_gives_exclusive_quarti
     assert tool.all_clean([p[s] for p in pairs for s in ("parent", "change")])
     assert not tool.all_clean([_run_doc(), _run_doc(failed=1)])
     assert not tool.all_clean([_run_doc(correct=False)])
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # parent IQR 10 of median 20 exceeds the 0.25 bound: a worse change cannot be told from the spread
+        ([14.0, 16.0, 20.0, 24.0, 26.0], [30.0, 31.0, 32.0, 33.0, 34.0], "unresolved"),
+        # ... unless every change run beats every parent run
+        ([14.0, 16.0, 20.0, 24.0, 26.0], [9.0, 10.0, 11.0, 12.0, 13.0], "within bound"),
+        # a tight parent and a median 30% worse
+        ([19.8, 19.9, 20.0, 20.1, 20.2], [25.0, 25.5, 26.0, 26.5, 27.0], "worse than bound"),
+        # a tight parent and a median 20% worse
+        ([19.8, 19.9, 20.0, 20.1, 20.2], [23.0, 23.5, 24.0, 24.5, 25.0], "within bound"),
+    ],
+    ids=["wide-parent", "wide-parent-every-run-better", "worse", "within"],
+)
+def test_bench_pairs_verdict_against_the_bound(parent, change, expected):
+    tool = _tool("bench_pairs")
+    pairs = [{"parent": _run_doc(recover_p50_ms=p), "change": _run_doc(recover_p50_ms=c)} for p, c in zip(parent, change)]
+    entry = tool.summarize(pairs, {"recover_p50_ms": "lower"}, {"recover_p50_ms": 0.25})["recover_p50_ms"]
+    assert (entry["bound"], entry["verdict"]) == (0.25, expected)
+    # the same values as a higher-is-better metric, mirrored around 0: the verdict does not depend on the direction
+    mirrored = [{side: _run_doc(rate=-pair[side]["metrics"]["recover_p50_ms"]["value"]) for side in pair} for pair in pairs]
+    assert tool.summarize(mirrored, {"rate": "higher"}, {"rate": 0.25})["rate"]["verdict"] == expected
 
 
 _STUB_RUN = """
@@ -143,6 +170,7 @@ def test_bench_pairs_alternates_sides_and_fails_on_an_incorrect_run(tmp_path):
     entry = document["untraced"]["w@7"]
     assert [p["first"] for p in entry["pairs"]] == ["parent", "change", "parent"]
     assert entry["summary"]["peak_rss_mb"]["change_wins"] == 3
+    assert entry["summary"]["peak_rss_mb"]["verdict"] == "within bound" and "within bound" in proc.stdout
     assert entry["all_correct"] and entry["failed_operations"] == 0
     assert document["traced"]["w@7"]["layers"]["peak_rss_mb"] == {"parent": 48.0, "change": 46.0, "unit": "MB"}
     assert document["claimed"] == {"workload": "w", "metric": "peak_rss_mb", "seeds": [7]}

@@ -10,7 +10,12 @@ run the parent first, even pairs the change.  Then it runs ``--trace 1`` once pe
 side.  For every end-to-end metric of ``BENCHMARK.json`` (read from
 CHANGE_TREE, with its ``better`` direction) and each side it reports the
 median, q1, q3 and IQR of the untraced runs, the pairs the change wins (a
-tie counts for neither side) and the ratio of the medians.  Each run's document
+tie counts for neither side), the ratio of the medians and a verdict against
+the metric's ``bound``, the relative worsening the benchmark allows:
+``unresolved`` when the parent's IQR exceeds bound x its median, unless every
+change run beats every parent run; ``worse than bound`` when the change's
+median is worse than the parent's by more than bound x the parent's median;
+``within bound`` otherwise.  Each run's document
 is kept without its ``first_round`` outcomes: raw metrics, ``correct``,
 ``failed``, round walls, set-up samples and the environment.
 
@@ -44,16 +49,33 @@ def directions(benchmark: dict) -> dict[str, str]:
     return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
 
+def bounds(benchmark: dict) -> dict[str, float]:
+    """Metric name -> the relative worsening its end-to-end metric may show, from a BENCHMARK.json."""
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+
+
 def quartiles(values) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs, better: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles, change wins and median ratio over untraced pairs.
+def verdict(values: dict[str, list[float]], sign: int, bound: float, stats: dict) -> str:
+    """'unresolved', 'worse than bound' or 'within bound' for one metric; see the module docstring."""
+    parent = stats["parent"]["median"]
+    every_run_better = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+    if stats["parent"]["iqr"] > bound * abs(parent) and not every_run_better:
+        return "unresolved"
+    if sign * (parent - stats["change"]["median"]) > bound * abs(parent):
+        return "worse than bound"
+    return "within bound"
+
+
+def summarize(pairs, better: dict[str, str], bound: dict[str, float]) -> dict:
+    """Per-metric medians, quartiles, change wins, median ratio and verdict over untraced pairs.
 
     ``pairs`` is a list of ``{"parent": doc, "change": doc}`` with run documents
-    of ``bench/run.py``; ``better`` maps each metric to summarize to its direction.
+    of ``bench/run.py``; ``better`` maps each metric to summarize to its
+    direction and ``bound`` to its bound.
     """
     summary = {}
     for name, direction in better.items():
@@ -69,6 +91,8 @@ def summarize(pairs, better: dict[str, str]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "median_ratio_change_over_parent": stats["change"]["median"] / stats["parent"]["median"],
+            "bound": bound[name],
+            "verdict": verdict(values, sign, bound[name], stats),
         }
     return summary
 
@@ -86,10 +110,10 @@ def run(tree: Path, workload: str, seed: int, trace: int, out: Path) -> dict:
     return document
 
 
-def untraced_entry(pairs, better) -> dict:
+def untraced_entry(pairs, better, bound) -> dict:
     docs = [pair[side] for pair in pairs for side in SIDES]
     return {
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better, bound),
         "attempted_operations": sum(doc["attempted"] for doc in docs),
         "failed_operations": sum(doc["failed"] for doc in docs),
         "all_correct": all(doc["correct"] for doc in docs),
@@ -125,7 +149,8 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    better, bound = directions(benchmark), bounds(benchmark)
     key = f"{args.workload}@{args.seed}"
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
     if key in document.get("untraced", {}):
@@ -155,14 +180,14 @@ def main(argv=None) -> int:
             claimed = {"workload": args.workload, "metric": args.claim, "seeds": []}
         claimed["seeds"] = sorted(set(claimed["seeds"]) | {args.seed})
         document["claimed"] = claimed
-    document.setdefault("untraced", {})[key] = untraced_entry(pairs, better)
+    document.setdefault("untraced", {})[key] = untraced_entry(pairs, better, bound)
     document.setdefault("traced", {})[key] = traced_entry(traced)
     args.out.write_text(json.dumps(document, indent=1) + "\n")
 
     for name, entry in document["untraced"][key]["summary"].items():
         parent, change = entry["parent"], entry["change"]
         print(f"{key} {name:16s} parent {parent['median']:.6g} (IQR {parent['iqr']:.3g}) "
-              f"change {change['median']:.6g} wins {entry['change_wins']}/{entry['pairs']}")
+              f"change {change['median']:.6g} wins {entry['change_wins']}/{entry['pairs']}: {entry['verdict']}")
     clean = all_clean([pair[side] for pair in pairs for side in SIDES] + list(traced.values()))
     if not clean:
         print(f"{key}: a run was incorrect or had a failed operation", file=sys.stderr)
