@@ -16,7 +16,7 @@ import numpy as np
 from .formats import FORMATS, random_rank_r_tensor
 from .measurements import MeasurementEnsemble
 from .solvers import VARIANTS
-from .tensors import check_count, check_real, frobenius_norm
+from .tensors import check_choice, check_count, check_real, frobenius_norm
 
 __all__ = [
     "TripEstimate",
@@ -70,10 +70,11 @@ class SampleComplexityBound:
 
 
 def _check_formula_args(fmt, d, n, r):
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown tensor format {fmt!r}")
+    check_choice("format", fmt, FORMATS)
     for name, value in (("d", d), ("n", n), ("r", r)):
         check_count(name, value)
+    if fmt != "hosvd" and d < 2:
+        raise ValueError(f"{fmt.upper()} format needs order >= 2")
 
 
 def _dof(fmt: str, d: int, n: int, r: int) -> int:
@@ -105,7 +106,7 @@ def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, et
     """
     _check_formula_args(fmt, d, n, r)
     delta, eta = check_real("delta", delta, "(0, 1)"), check_real("eta", eta)
-    log2 = math.log(float(n) ** d) ** 2
+    log2 = (d * math.log(n)) ** 2  # log(n^d) without forming n^d, which overflows a float at a large d
     base = (1.0 / delta) * (1.0 + eta) * log2
     if fmt == "hosvd":
         f = _dof(fmt, d, n, r) * math.log(d)
@@ -148,8 +149,7 @@ def convergence_constants(variant: str, a: float, delta3r: float, opnorm: float)
     delta(a) = a/4 (CTIHT) or a/(a+8) (NTIHT); eps(a) and b(a) follow the
     displayed formulas, and the error horizon is (1 - a + b) / (1 - a).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    check_choice("variant", variant, VARIANTS)
     a, delta3r = check_real("a", a, "(0, 1)"), check_real("delta3r", delta3r, "[0, 1)")
     opnorm = check_real("opnorm", opnorm)
     root = math.sqrt(1.0 + delta3r)
@@ -181,8 +181,6 @@ def storage_count(fmt: str, d: int, n: int, r: int) -> int:
     for any binary tree over d modes) plus the d leaf frames.
     """
     _check_formula_args(fmt, d, n, r)
-    if fmt != "hosvd" and d < 2:
-        raise ValueError(f"{fmt.upper()} format needs order >= 2")
     if fmt == "tt":
         ranks = [1] + [r] * (d - 1) + [1]
         return sum(ranks[k] * n * ranks[k + 1] for k in range(d))

@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 from . import analysis, experiments, measurements, solvers
 from .formats import FORMATS, mode_sets
+from .tensors import check_count
 
 __all__ = ["main", "build_parser"]
 
@@ -135,9 +136,9 @@ def _cmd_recover(args) -> int:
     threshold = experiments.success_threshold(args.ensemble, args.threshold)
     shape = args.shape
     m = args.m if args.m is not None else experiments.measurement_count(shape, args.nbar)
-    rank = _solver_rank(args)
-    X0 = experiments.random_rank_r_tensor(shape, args.format, rank, [args.seed, 0])
-    A = measurements.draw(args.ensemble, shape, m, [args.seed, 1])
+    rank, seed = _solver_rank(args), check_count("seed", args.seed, 0)
+    X0 = experiments.random_rank_r_tensor(shape, args.format, rank, [seed, 0])
+    A = measurements.draw(args.ensemble, shape, m, [seed, 1])
     y = A.apply(X0)
     config = solvers.SolverConfig(
         rank=rank,
@@ -199,10 +200,10 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_trip(args) -> int:
-    rank = _solver_rank(args)
+    rank, seed = _solver_rank(args), check_count("seed", args.seed, 0)
     # sample i takes [seed, i]; numpy pads seed lists with zeros, so `seed` alone is sample 0's stream
-    A = measurements.draw(args.ensemble, args.shape, args.m, [args.seed, 0, 1])
-    est = analysis.trip_estimate(A, args.format, rank, args.samples, seed=args.seed)
+    A = measurements.draw(args.ensemble, args.shape, args.m, [seed, 0, 1])
+    est = analysis.trip_estimate(A, args.format, rank, args.samples, seed=seed)
     _emit(
         {
             "ensemble": args.ensemble,
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         parser.exit(2, f"tiht {args.command}: {exc}\n")
 
 

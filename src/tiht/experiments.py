@@ -21,7 +21,7 @@ import numpy as np
 from .formats import draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
 from .measurements import ENSEMBLES, draw
 from .solvers import SolverConfig, tiht_run
-from .tensors import check_count, check_real, check_shape
+from .tensors import check_choice, check_count, check_real, check_shape
 
 __all__ = [
     "ExperimentSpec",
@@ -42,8 +42,7 @@ DEFAULT_THRESHOLDS = {kind: 2.5e-3 if kind == "completion" else 1e-3 for kind in
 
 def success_threshold(ensemble: str, threshold: float | None = None) -> float:
     """``threshold``, or the ensemble's default when it is None; a threshold is a real in (0, inf)."""
-    if ensemble not in ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}, expected one of {', '.join(ENSEMBLES)}")
+    check_choice("ensemble", ensemble, ENSEMBLES)
     return DEFAULT_THRESHOLDS[ensemble] if threshold is None else check_real("success_threshold", threshold)
 
 
@@ -142,14 +141,15 @@ def run_single_trial(spec: ExperimentSpec, nbar: int, trial: int):
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else TIHT_THREADS, else the CPU count."""
+    """Worker count >= 1: explicit argument, else TIHT_THREADS, else the CPU count."""
     if workers is None:
         env = os.environ.get("TIHT_THREADS")
         try:
             workers = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise ValueError(f"TIHT_THREADS must be an integer, got {env!r}") from None
-    return max(1, int(workers))
+        return check_count("TIHT_THREADS", workers)
+    return check_count("workers", workers)
 
 
 def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> PhaseDiagram:

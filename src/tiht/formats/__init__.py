@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from ..tensors import as_tensor
+from ..tensors import as_tensor, check_choice
 from .family import (
     FORMATS,
     DimensionTree,
@@ -73,10 +73,8 @@ def _resolve(fmt: str, ranks, shape: tuple[int, ...], tree: DimensionTree | None
 
 def random_rank_r_tensor(shape, fmt: str, ranks, seed, tree: DimensionTree | None = None) -> np.ndarray:
     """Dispatch to the format's random draw, seeded by anything ``np.random.default_rng`` takes."""
-    if fmt == "hosvd":
+    if check_choice("format", fmt, FORMATS) == "hosvd":
         return hosvd_random(shape, ranks, seed)
     if fmt == "tt":
         return tt_random(shape, ranks, seed)
-    if fmt == "ht":
-        return ht_random(shape, ranks, seed, tree)
-    raise ValueError(f"unknown tensor format {fmt!r}")
+    return ht_random(shape, ranks, seed, tree)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..tensors import check_count, check_shape
+from ..tensors import check_choice, check_count, check_shape
 
 FORMATS = ("hosvd", "tt", "ht")
 
@@ -103,18 +103,16 @@ def mode_sets(fmt: str, order: int, tree: DimensionTree | None = None) -> list[t
     ..., ``(0, ..., d-2)``.  HT: the non-root nodes of ``tree`` (balanced by
     default), deepest level first and sons before fathers.
     """
-    if fmt == "hosvd":
+    if check_choice("format", fmt, FORMATS) == "hosvd":
         return [(k,) for k in range(order)]
     if fmt == "tt":
         if order < 2:
             raise ValueError("TT format needs order >= 2")
         return [tuple(range(i)) for i in range(1, order)]
-    if fmt == "ht":
-        tree = default_tree(tree, order)
-        if tree.order != order:
-            raise ValueError(f"tree of order {tree.order} does not match tensor order {order}")
-        return list(tree.sets)
-    raise ValueError(f"unknown tensor format {fmt!r}")
+    tree = default_tree(tree, order)
+    if tree.order != order:
+        raise ValueError(f"tree of order {tree.order} does not match tensor order {order}")
+    return list(tree.sets)
 
 
 def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):

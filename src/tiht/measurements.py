@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tensors import check_count, check_shape
+from .tensors import check_choice, check_count, check_shape
 
 __all__ = [
     "ENSEMBLES",
@@ -154,7 +154,5 @@ ENSEMBLES = tuple(_KINDS)
 
 def draw(kind: str, shape, m: int, seed) -> MeasurementEnsemble:
     """Draw a reproducible ensemble of the given kind."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown ensemble kind {kind!r}; choose from {sorted(_KINDS)}")
-    return _KINDS[kind](shape, m, seed)
+    return _KINDS[check_choice("ensemble", kind, ENSEMBLES)](shape, m, seed)
 

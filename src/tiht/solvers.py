@@ -30,7 +30,7 @@ import numpy as np
 
 from .formats import FORMATS, DimensionTree, truncate
 from .measurements import MeasurementEnsemble
-from .tensors import _layout, check_count, check_real, frobenius_norm, vec
+from .tensors import _layout, check_choice, check_count, check_real, frobenius_norm, vec
 
 __all__ = [
     "VARIANTS",
@@ -59,10 +59,8 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
+        check_choice("variant", self.variant, VARIANTS)
+        check_choice("format", self.format, FORMATS)
         check_count("max_iters", self.max_iters)
         object.__setattr__(self, "conv_tol", check_real("conv_tol", self.conv_tol))
 

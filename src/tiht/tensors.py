@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "check_count",
     "check_real",
+    "check_choice",
     "check_shape",
     "as_tensor",
     "vec",
@@ -48,6 +49,13 @@ def check_real(name: str, value, interval: str = "(0, inf)") -> float:
     if not (real and lo <= value <= hi) or value == lo and interval[0] == "(" or value == hi and interval[-1] == ")":
         raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
     return float(value)
+
+
+def check_choice(name: str, value, choices: Sequence[str]) -> str:
+    """``value`` itself: a name (format, variant, ensemble) is a str among ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def check_shape(shape: Sequence[int]) -> tuple[int, ...]:

@@ -103,6 +103,8 @@ def test_fourier_sample_complexity_worked_example():
     val = fourier_sample_complexity("hosvd", 3, 10, 1, 0.5, 1.0)
     assert np.isclose(val, 36430.70, rtol=5e-4)
     assert np.isclose(val, 36436.0, rtol=1e-3)  # value displayed with coarser rounding
+    # log(10^400) = 400 log 10, though float(10) ** 400 overflows
+    assert np.isclose(fourier_sample_complexity("hosvd", 400, 10, 1, 0.5, 1.0), (4 * (400 * math.log(10)) ** 2) ** 2, rtol=1e-12)
 
 
 def test_fourier_f_term_tt_formula():
@@ -192,3 +194,21 @@ def test_storage_counts():
     assert storage_count("ht", 4, 10, 2) == 3 * 8 + 4 * 20
     with pytest.raises(ValueError):
         storage_count("cp", 3, 10, 1)
+
+
+@pytest.mark.parametrize("fmt", ["tt", "ht"])
+@pytest.mark.parametrize(
+    "formula",
+    [
+        lambda fmt, d: sample_complexity(fmt, d, 10, 1, 0.5, 0.01),
+        lambda fmt, d: fourier_sample_complexity(fmt, d, 10, 1, 0.5, 1.0),
+        lambda fmt, d: covering_bound(fmt, d, 10, 1, 0.5),
+        lambda fmt, d: storage_count(fmt, d, 10, 1),
+    ],
+    ids=["sample_complexity", "fourier_sample_complexity", "covering_bound", "storage_count"],
+)
+def test_every_formula_needs_order_2_for_tt_and_ht(formula, fmt):
+    # TT and HT have no order-1 tensors, so no formula gives them a bound
+    with pytest.raises(ValueError, match=f"^{fmt.upper()} format needs order >= 2$"):
+        formula(fmt, 1)
+    formula(fmt, 2)

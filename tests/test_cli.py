@@ -21,6 +21,16 @@ def test_bounds_subcommand(capsys):
     assert payload["storage_count"] == 68
 
 
+def test_bounds_at_a_large_order_prints_json_or_exits_with_status_2(capsys):
+    # at r = 1 every bound is finite; r**d at r = 10 times a log overflows a float
+    assert main("bounds --d 400".split()) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 400
+    with pytest.raises(SystemExit) as exc:
+        main("bounds --d 400 --r 10".split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "tiht bounds: int too large to convert to float\n"
+
+
 def test_bounds_with_convergence_constants(capsys):
     code = main("bounds --a 0.5 --variant ctiht --delta3r 0.1 --opnorm 2.0".split())
     assert code == 0

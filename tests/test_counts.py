@@ -82,3 +82,11 @@ def test_recover_names_a_bad_nbar_and_exits_with_status_2(nbar, message, capsys)
         main(["recover", "--shape", "4x4x4", "--nbar", nbar])
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"tiht recover: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["recover", "--nbar", "50"], ["trip", "--m", "20", "--samples", "2"]], ids=["recover", "trip"])
+def test_the_cli_names_a_negative_seed_before_any_draw(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--shape", "4x4x4", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"tiht {argv[0]}: seed must be an integer >= 0, got -1\n"

@@ -210,6 +210,19 @@ def test_malformed_tiht_threads_is_named(monkeypatch):
     assert resolve_workers() == 3
 
 
+@pytest.mark.parametrize("workers", [2.5, 0, -1, True, "3"])
+def test_an_explicit_worker_count_is_a_count(workers):
+    with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {workers!r}$"):
+        resolve_workers(workers)
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_a_nonpositive_tiht_threads_is_named(threads, monkeypatch):
+    monkeypatch.setenv("TIHT_THREADS", threads)
+    with pytest.raises(ValueError, match=f"^TIHT_THREADS must be an integer >= 1, got {threads}$"):
+        resolve_workers()
+
+
 _SERIAL_FOOTPRINT = """
 import sys
 import tiht.cli
