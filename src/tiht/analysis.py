@@ -8,6 +8,7 @@ Logarithms are natural throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +78,22 @@ def _check_formula_args(fmt, d, n, r):
         raise ValueError(f"{fmt.upper()} format needs order >= 2")
 
 
+def _in_float_range(formula):
+    """``formula``, with a ValueError that names it and d, n, r when its bound leaves the float range."""
+
+    @functools.wraps(formula)
+    def checked(fmt, d, n, r, *args):
+        try:
+            value = formula(fmt, d, n, r, *args)
+        except OverflowError:  # an exact int, such as r**d, too large to meet a float
+            value = math.inf
+        if not math.isfinite(getattr(value, "bound", value)):  # a sample bound is at least its dof term
+            raise ValueError(f"{formula.__name__} leaves the float range at d={d}, n={n}, r={r}")
+        return value
+
+    return checked
+
+
 def _dof(fmt: str, d: int, n: int, r: int) -> int:
     """Degrees of freedom at uniform n and r: r^d + d n r for HOSVD, (d-1) r^3 + d n r for TT and HT."""
     if fmt == "hosvd":
@@ -84,6 +101,7 @@ def _dof(fmt: str, d: int, n: int, r: int) -> int:
     return (d - 1) * r**3 + d * n * r
 
 
+@_in_float_range
 def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob: float) -> SampleComplexityBound:
     """Subgaussian sample bound: delta^-2 max(dof-term, log(1/fail_prob)).
 
@@ -97,6 +115,7 @@ def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob:
     return SampleComplexityBound(bound=bound, dof_term=dof)
 
 
+@_in_float_range
 def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, eta: float) -> float:
     """Randomized-Fourier sample bound (constant 1):
 
@@ -115,6 +134,7 @@ def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, et
     return base * max(base, f)
 
 
+@_in_float_range
 def covering_bound(fmt: str, d: int, n: int, r: int, eps: float) -> float:
     """Log covering number of the unit-norm rank-r model set.
 

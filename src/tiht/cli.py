@@ -76,7 +76,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 def _solver_rank(args):
     if args.rank is None:  # all ones, one per mode set of the format
         return 1 if args.format == "ht" else (1,) * len(mode_sets(args.format, len(args.shape)))
-    # an HT rank is one int, so --rank r means r; clamp_ranks rejects any other HT form
+    # an HT rank is one int, so --rank r means r; check_rank rejects any other HT form
     return args.rank[0] if args.format == "ht" and len(args.rank) == 1 else args.rank
 
 
@@ -123,6 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(*paths) -> None:
+    """Open every output path given for appending, so an unwritable one fails before any work."""
+    for path in filter(None, paths):
+        open(path, "a").close()
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
@@ -136,17 +142,18 @@ def _cmd_recover(args) -> int:
     threshold = experiments.success_threshold(args.ensemble, args.threshold)
     shape = args.shape
     m = args.m if args.m is not None else experiments.measurement_count(shape, args.nbar)
-    rank, seed = _solver_rank(args), check_count("seed", args.seed, 0)
-    X0 = experiments.random_rank_r_tensor(shape, args.format, rank, [seed, 0])
-    A = measurements.draw(args.ensemble, shape, m, [seed, 1])
-    y = A.apply(X0)
+    seed = check_count("seed", args.seed, 0)
     config = solvers.SolverConfig(
-        rank=rank,
+        rank=_solver_rank(args),
         variant=args.variant,
         format=args.format,
         max_iters=args.max_iters,
         conv_tol=args.conv_tol,
     )
+    _check_out(args.out, args.trace_out)
+    X0 = experiments.random_rank_r_tensor(shape, args.format, config.rank, [seed, 0])
+    A = measurements.draw(args.ensemble, shape, m, [seed, 1])
+    y = A.apply(X0)
     result = solvers.tiht_run(A, y, config, X_ref=X0, success_threshold=threshold)
     if args.trace_out:
         solvers.export_trace_csv(result, args.trace_out)
@@ -156,7 +163,7 @@ def _cmd_recover(args) -> int:
             "variant": args.variant,
             "format": args.format,
             "shape": list(shape),
-            "rank": list(rank) if isinstance(rank, tuple) else rank,
+            "rank": config.rank,
             "m": m,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -185,8 +192,7 @@ def _cmd_phase(args) -> int:
         max_iters=args.max_iters,
         conv_tol=args.conv_tol,
     )
-    if args.out:
-        open(args.out, "a").close()  # an unwritable path fails here, before any trial runs
+    _check_out(args.out)
     diagram = experiments.run_phase_diagram(spec)
     for cell in diagram.cells:
         print(
@@ -201,6 +207,7 @@ def _cmd_phase(args) -> int:
 
 def _cmd_trip(args) -> int:
     rank, seed = _solver_rank(args), check_count("seed", args.seed, 0)
+    _check_out(args.out)
     # sample i takes [seed, i]; numpy pads seed lists with zeros, so `seed` alone is sample 0's stream
     A = measurements.draw(args.ensemble, args.shape, args.m, [seed, 0, 1])
     est = analysis.trip_estimate(A, args.format, rank, args.samples, seed=seed)
@@ -209,7 +216,7 @@ def _cmd_trip(args) -> int:
             "ensemble": args.ensemble,
             "format": args.format,
             "shape": list(args.shape),
-            "rank": list(rank) if isinstance(rank, tuple) else rank,
+            "rank": rank,
             "m": args.m,
             "samples": est.n_samples,
             "delta_hat": est.delta_hat,
@@ -220,6 +227,7 @@ def _cmd_trip(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _check_out(args.out)  # the formulas check the inputs, and they are all the work there is
     sc = analysis.sample_complexity(args.format, args.d, args.n, args.r, args.delta, args.fail_prob)
     payload = {
         "format": args.format,

@@ -78,7 +78,7 @@ class ExperimentSpec(SolverConfig):
         check_count("trials", self.trials)
         check_count("seed", self.seed, 0)
         object.__setattr__(self, "threshold", success_threshold(self.ensemble, self.threshold))
-        draw_ranks(self.format, self.rank, self.shape)  # validates the rank
+        draw_ranks(self.format, self.rank, self.shape)  # a rank some draw reaches
 
 
 @dataclass
@@ -191,12 +191,6 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
 _COLUMNS = ("type", "shape", "rank", "variant", "nbar", "m", "successes", "trials", "mean_iters", "mean_error")
 
 
-def _rank_label(rank) -> str:
-    if isinstance(rank, (tuple, list)):
-        return ",".join(str(int(v)) for v in rank)
-    return str(int(rank))
-
-
 def emit_results(diagram: PhaseDiagram, path) -> None:
     """Write cells with the fixed column order, in the spec's grid order.
 
@@ -204,13 +198,14 @@ def emit_results(diagram: PhaseDiagram, path) -> None:
     """
     if not diagram.cells:
         raise ValueError("nothing to emit: no cells")
+    rank = diagram.spec.rank
     rows = []
     for cell in diagram.cells:
         rows.append(
             {
                 "type": diagram.spec.ensemble,
                 "shape": "x".join(str(n) for n in diagram.spec.shape),
-                "rank": _rank_label(diagram.spec.rank),
+                "rank": ",".join(map(str, rank)) if isinstance(rank, tuple) else str(rank),
                 "variant": diagram.spec.variant,
                 "nbar": cell.nbar,
                 "m": cell.m,

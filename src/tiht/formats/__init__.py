@@ -3,7 +3,7 @@
 A format is a family of matricizations: its rank is the tuple of ranks of
 the unfoldings that put single modes (HOSVD), mode prefixes (TT) or the
 nodes of a dimension tree (HT) in the rows.  :mod:`.family` holds those mode
-sets with the rank clamp and the draw-rank rule all three share.  Each
+sets with the rank check, the rank clamp and the draw-rank rule all three share.  Each
 format's module holds the kernel of its truncation H_r, a quasi-best rank-r
 approximation by successive SVDs over its family, a seeded ``*_random`` draw
 and a decomposition record that reconstructs back to a dense tensor.
@@ -20,6 +20,7 @@ from ..tensors import as_tensor, check_choice
 from .family import (
     FORMATS,
     DimensionTree,
+    check_rank,
     clamp_ranks,
     default_tree,
     draw_ranks,
@@ -32,6 +33,7 @@ from .tt import TTDecomposition, tt_random, tt_truncate
 __all__ = [
     "FORMATS",
     "mode_sets",
+    "check_rank",
     "clamp_ranks",
     "draw_ranks",
     "default_tree",
@@ -47,15 +49,11 @@ __all__ = [
 def truncate(X, fmt: str, ranks, tree: DimensionTree | None = None):
     """The format's rank-r truncation operator H_r over ``tree`` (balanced by default, HT only).
 
-    The one checked entry: it clamps ``ranks`` once per (format, ranks,
-    shape, tree) and hands the clamped ranks to the format's kernel.
+    The one checked entry: it checks ``ranks`` on every call, clamps the checked rank once
+    per (format, rank, shape, tree) and hands the clamped ranks to the format's kernel.
     """
     X = as_tensor(X)
-    ranks = tuple(ranks) if isinstance(ranks, list) else ranks
-    try:
-        tree, r = _resolve(fmt, ranks, X.shape, tree)
-    except TypeError:  # an unhashable rank, such as a dict: resolved (and rejected) uncached
-        tree, r = _resolve.__wrapped__(fmt, ranks, X.shape, tree)
+    tree, r = _resolve(fmt, check_rank(fmt, ranks), X.shape, tree)
     if fmt == "hosvd":
         return hosvd_truncate(X, r)
     if fmt == "tt":
@@ -63,12 +61,12 @@ def truncate(X, fmt: str, ranks, tree: DimensionTree | None = None):
     return ht_truncate(X, tree, r)
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # typed: an HT rank 2.0, which clamp_ranks rejects, is not 2
+@functools.lru_cache(maxsize=64)
 def _resolve(fmt: str, ranks, shape: tuple[int, ...], tree: DimensionTree | None):
     """The tree (HT only) and clamped ranks of a truncation, a pure function of its arguments."""
     if fmt == "ht":
         tree = default_tree(tree, len(shape))
-    return tree, clamp_ranks(fmt, ranks, shape, tree)[1]  # rejects an unknown format
+    return tree, clamp_ranks(fmt, ranks, shape, tree)[1]
 
 
 def random_rank_r_tensor(shape, fmt: str, ranks, seed, tree: DimensionTree | None = None) -> np.ndarray:

@@ -115,27 +115,32 @@ def mode_sets(fmt: str, order: int, tree: DimensionTree | None = None) -> list[t
     return list(tree.sets)
 
 
-def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
-    """The format's mode sets and the requested ranks, validated and clamped.
+def check_rank(fmt: str, rank) -> int | tuple[int, ...]:
+    """``rank`` as one int >= 1 (HT) or a tuple of them (HOSVD, TT: a flat list, tuple or 1-D array); else a ValueError."""
+    if check_choice("format", fmt, FORMATS) == "ht":
+        if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+            raise ValueError(f"an HT rank is one int for every tree node, got {rank!r}")
+        return check_count("rank", rank)
+    flat = isinstance(rank, (list, tuple)) or isinstance(rank, np.ndarray) and rank.ndim == 1
+    if not flat or any(isinstance(v, (list, tuple, np.ndarray)) for v in rank):
+        raise ValueError(f"a {fmt} rank is a sequence of one int per mode set, got {rank!r}")
+    return tuple(check_count("rank", v) for v in rank)
 
-    HOSVD and TT ranks are sequences with one rank per mode set; an HT rank
-    is one int for every node.  Each rank must be >= 1 and is clamped to
-    min(r, n_S, N / n_S), the row and column dimensions of its matricization;
-    a TT rank is also clamped, left to right, to r_{k-1} n_k, the most TT-SVD
-    can attain after the previous prefix.  A uniform HT rank needs no such
-    cap: a node's sons and the nodes beside it always span at least its
-    clamped rank, so these are the ranks ``ht_truncate`` attains.  Returns
-    ``(sets, ranks)``.
+
+def clamp_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
+    """The format's mode sets and the requested ranks, checked by ``check_rank`` and clamped.
+
+    Each rank is clamped to min(r, n_S, N / n_S), the row and column
+    dimensions of its matricization; a TT rank is also clamped, left to
+    right, to r_{k-1} n_k, the most TT-SVD can attain after the previous
+    prefix.  A uniform HT rank needs no such cap: a node's sons and the nodes
+    beside it always span at least its clamped rank, so these are the ranks
+    ``ht_truncate`` attains.  Returns ``(sets, ranks)``.
     """
     dims = check_shape(shape)
     sets = mode_sets(fmt, len(dims), tree)
-    if fmt == "ht":
-        if not isinstance(ranks, (int, np.integer)):
-            raise ValueError(f"an HT rank is one int for every tree node, got {ranks!r}")
-        ranks = [ranks] * len(sets)
-    elif isinstance(ranks, (int, np.integer)):
-        raise ValueError(f"a {fmt} rank is a sequence of one int per mode set, got {ranks!r}")
-    r = tuple(check_count("rank", v) for v in ranks)
+    r = check_rank(fmt, ranks)
+    r = (r,) * len(sets) if fmt == "ht" else r
     if len(r) != len(sets):
         raise ValueError(f"{fmt} rank {r} must have length {len(sets)} for order {len(dims)}")
     N = math.prod(dims)
@@ -159,7 +164,7 @@ def draw_ranks(fmt: str, ranks, shape, tree: DimensionTree | None = None):
     sets, r = clamp_ranks(fmt, ranks, shape, tree)
     if fmt == "hosvd":
         total = math.prod(r)
-        if r != tuple(ranks) or any(v > total // v for v in r):
+        if r != check_rank(fmt, ranks) or any(v > total // v for v in r):
             raise ValueError(
                 f"a HOSVD draw rank needs 1 <= r_k <= min(n_k, N / n_k, prod_(j != k) r_j), "
                 f"got {ranks} for shape {shape}"

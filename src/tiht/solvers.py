@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import FORMATS, DimensionTree, truncate
+from .formats import DimensionTree, check_rank, truncate
 from .measurements import MeasurementEnsemble
 from .tensors import _layout, check_choice, check_count, check_real, frobenius_norm, vec
 
@@ -51,7 +51,7 @@ VARIANTS = ("ctiht", "ntiht")
 class SolverConfig:
     """Variant, format, target rank and stopping parameters for one run from X^0 = 0; HT uses the balanced tree."""
 
-    rank: object
+    rank: int | tuple[int, ...]
     variant: str = "ntiht"
     format: str = "hosvd"
     max_iters: int = 5000
@@ -60,7 +60,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_choice("variant", self.variant, VARIANTS)
-        check_choice("format", self.format, FORMATS)
+        object.__setattr__(self, "rank", check_rank(self.format, self.rank))  # checks the format first
         check_count("max_iters", self.max_iters)
         object.__setattr__(self, "conv_tol", check_real("conv_tol", self.conv_tol))
 

@@ -22,13 +22,15 @@ def test_bounds_subcommand(capsys):
 
 
 def test_bounds_at_a_large_order_prints_json_or_exits_with_status_2(capsys):
-    # at r = 1 every bound is finite; r**d at r = 10 times a log overflows a float
+    # at r = 1 every bound is finite at d = 400; past the float range a bound names its formula and d, n, r:
+    # r**d at r = 10 is an int too large for a float, and (log n^d)^2 at d = 10**100 overflows to inf, no JSON
     assert main("bounds --d 400".split()) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 400
-    with pytest.raises(SystemExit) as exc:
-        main("bounds --d 400 --r 10".split())
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == "tiht bounds: int too large to convert to float\n"
+    for d, r, formula in ((400, 10, "sample_complexity"), (10**100, 1, "fourier_sample_complexity")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--d", str(d), "--r", str(r)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"tiht bounds: {formula} leaves the float range at d={d}, n=10, r={r}\n"
 
 
 def test_bounds_with_convergence_constants(capsys):
@@ -133,6 +135,27 @@ def test_phase_out_in_a_missing_directory_exits_before_any_trial(tmp_path, monke
     out = tmp_path / "missing" / "cells.csv"
     with pytest.raises(SystemExit) as exc:
         main("phase --shape 4x4 --rank 1,1 --grid 50 --trials 1".split() + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count(str(out)) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("recover --nbar 8 --seed 2016", "--trace-out"),
+        ("recover --nbar 8 --seed 2016", "--out"),
+        ("trip --m 100 --samples 4", "--out"),
+    ],
+)
+def test_an_unwritable_output_exits_before_any_draw(argv, flag, tmp_path, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw ran")
+
+    monkeypatch.setattr("tiht.measurements.draw", no_draw)
+    monkeypatch.setattr("tiht.experiments.random_rank_r_tensor", no_draw)
+    out = tmp_path / "missing" / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), flag, str(out)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.count(str(out)) == 1
 

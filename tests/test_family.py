@@ -93,9 +93,9 @@ def test_one_ht_truncation_clamps_its_rank_once(monkeypatch):
     truncate(X, "ht", 2)
     assert len(calls) == 1
     truncate(X + 1, "ht", np.int64(2))
-    assert len(calls) == 2  # a numpy integer is its own cache entry
+    assert len(calls) == 1  # the checked rank is the cache key, so a numpy integer shares 2's entry
     truncate(2 * X, "ht", 2)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_truncate_resolves_equal_ranks_and_trees_alike():
@@ -111,7 +111,7 @@ def test_truncate_resolves_equal_ranks_and_trees_alike():
         D = truncate(X, fmt, rank)
         assert same(D, truncate(X, fmt, list(rank)))
         assert same(D, truncate(X, fmt, tuple(np.int64(r) for r in rank)))
-        assert same(D, truncate(X, fmt, np.array(rank)))  # unhashable: resolved uncached
+        assert same(D, truncate(X, fmt, np.array(rank)))  # checked into the tuple's cache entry
     balanced = truncate(X, "ht", 2)
     assert same(balanced, truncate(X, "ht", np.int64(2), DimensionTree(((0, 1), 2))))
     assert hash(DimensionTree(((0, 1), 2))) == hash(DimensionTree.balanced(3))
@@ -120,6 +120,13 @@ def test_truncate_resolves_equal_ranks_and_trees_alike():
     assert degenerate.tree == DimensionTree.degenerate(3) != balanced.tree
     assert [S for S, _ in degenerate.blocks()] == DimensionTree.degenerate(3).sets
     assert not np.array_equal(degenerate.reconstruct(), balanced.reconstruct())
+    # a config keeps the checked rank, so equal ranks in any form give equal, hashable configs and specs
+    for fmt, rank in (("hosvd", (2, 2, 3)), ("tt", (2, 3)), ("ht", 2)):
+        forms = [rank, np.int64(rank)] if fmt == "ht" else [rank, list(rank), tuple(map(np.int64, rank)), np.array(rank)]
+        configs = {SolverConfig(rank=form, format=fmt) for form in forms}
+        specs = {ExperimentSpec(shape=X.shape, rank=form, format=fmt, grid=(50,)) for form in forms}
+        assert len(configs) == len(specs) == 1
+        assert configs.pop().rank == specs.pop().rank == rank
 
 
 @pytest.mark.parametrize(
@@ -136,13 +143,35 @@ def test_truncate_rejects_a_bad_rank_on_every_call(fmt, good, bad):
             truncate(X, fmt, bad)
 
 
-@pytest.mark.parametrize("rank", [(1, 1, 1), [2], {(0, 2): 1, (2, 3): 1, (0, 1): 1, (1, 2): 1}])
+# a float, None, a bool, a str, a dict, a set and a nested entry are no rank of any format
+MALFORMED = {
+    "float": 2.0,
+    "none": None,
+    "bool": True,
+    "str": "111",
+    "dict": {1: 1, 2: 1, 3: 1},
+    "set": {1, 2},
+    "nested": ((1,), 1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "rank",
+    [
+        (1, 1, 1),
+        [2],
+        {(0, 2): 1, (2, 3): 1, (0, 1): 1, (1, 2): 1},
+        *(pytest.param(rank, id=label) for label, rank in MALFORMED.items()),
+    ],
+)
 def test_ht_rank_other_than_one_int_is_a_value_error(rank):
-    # every entry point reads an HT rank through clamp_ranks
+    # every entry point reads an HT rank through check_rank
     A = draw("gaussian", (4, 4, 4), 32, 0)
     y = A.apply(np.ones((4, 4, 4)))
     calls = [
         lambda: clamp_ranks("ht", rank, (4, 4, 4)),
+        lambda: truncate(np.ones((4, 4, 4)), "ht", rank),
+        lambda: random_rank_r_tensor((4, 4, 4), "ht", rank, 0),
         lambda: ExperimentSpec(shape=(4, 4, 4), rank=rank, format="ht", grid=(50,)),
         lambda: tiht_run(A, y, SolverConfig(rank=rank, format="ht")),
         lambda: trip_estimate(A, "ht", rank, 2),
@@ -152,16 +181,25 @@ def test_ht_rank_other_than_one_int_is_a_value_error(rank):
             call()
 
 
-@pytest.mark.parametrize("fmt", ["hosvd", "tt"])
-def test_int_hosvd_or_tt_rank_is_a_value_error(fmt):
-    # a HOSVD or TT rank has one int per mode set, read through clamp_ranks
+@pytest.mark.parametrize(
+    "fmt, rank",
+    [
+        pytest.param(fmt, rank, id=fmt if label == "int" else f"{fmt}-{label}")
+        for fmt in ("hosvd", "tt")
+        for label, rank in {"int": 1, **MALFORMED}.items()
+    ],
+)
+def test_int_hosvd_or_tt_rank_is_a_value_error(fmt, rank):
+    # a HOSVD or TT rank has one int per mode set, read through check_rank
     A = draw("gaussian", (4, 4, 4), 32, 0)
     y = A.apply(np.ones((4, 4, 4)))
     calls = [
-        lambda: clamp_ranks(fmt, 1, (4, 4, 4)),
-        lambda: ExperimentSpec(shape=(4, 4, 4), rank=1, format=fmt, grid=(50,)),
-        lambda: tiht_run(A, y, SolverConfig(rank=1, format=fmt)),
-        lambda: trip_estimate(A, fmt, 1, 2),
+        lambda: clamp_ranks(fmt, rank, (4, 4, 4)),
+        lambda: truncate(np.ones((4, 4, 4)), fmt, rank),
+        lambda: random_rank_r_tensor((4, 4, 4), fmt, rank, 0),
+        lambda: ExperimentSpec(shape=(4, 4, 4), rank=rank, format=fmt, grid=(50,)),
+        lambda: tiht_run(A, y, SolverConfig(rank=rank, format=fmt)),
+        lambda: trip_estimate(A, fmt, rank, 2),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="sequence of one int"):
