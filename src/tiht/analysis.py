@@ -9,8 +9,9 @@ Logarithms are natural throughout.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 
 import numpy as np
 
@@ -78,20 +79,27 @@ def _check_formula_args(fmt, d, n, r):
         raise ValueError(f"{fmt.upper()} format needs order >= 2")
 
 
-def _in_float_range(formula):
-    """``formula``, with a ValueError that names it and d, n, r when its bound leaves the float range."""
+def _in_float_range(*shown):
+    """Wrap a formula: a real it returns past the float range is a ValueError naming it and its inputs ``shown``."""
 
-    @functools.wraps(formula)
-    def checked(fmt, d, n, r, *args):
-        try:
-            value = formula(fmt, d, n, r, *args)
-        except OverflowError:  # an exact int, such as r**d, too large to meet a float
-            value = math.inf
-        if not math.isfinite(getattr(value, "bound", value)):  # a sample bound is at least its dof term
-            raise ValueError(f"{formula.__name__} leaves the float range at d={d}, n={n}, r={r}")
-        return value
+    def wrap(formula):
+        @functools.wraps(formula)
+        def checked(*args, **kwargs):
+            try:
+                value = formula(*args, **kwargs)
+                reals = astuple(value) if is_dataclass(value) else (value,)
+                finite = all(math.isfinite(v) for v in reals if isinstance(v, float))
+            except OverflowError:  # a float power, or an exact int such as r**d, too large for a float
+                finite = False
+            if not finite:
+                given = inspect.signature(formula).bind(*args, **kwargs).arguments
+                at = ", ".join(f"{name}={given[name]}" for name in shown)
+                raise ValueError(f"{formula.__name__} leaves the float range at {at}")
+            return value
 
-    return checked
+        return checked
+
+    return wrap
 
 
 def _dof(fmt: str, d: int, n: int, r: int) -> int:
@@ -101,7 +109,14 @@ def _dof(fmt: str, d: int, n: int, r: int) -> int:
     return (d - 1) * r**3 + d * n * r
 
 
-@_in_float_range
+def _float_dof(fmt: str, d: int, n: int, r: int) -> float:
+    """``_dof`` as a float, or an OverflowError without building r^d when r^d alone is 2^1025 or more."""
+    if fmt == "hosvd" and d * math.log2(r) >= 1025:
+        raise OverflowError
+    return float(_dof(fmt, d, n, r))
+
+
+@_in_float_range("d", "n", "r")
 def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob: float) -> SampleComplexityBound:
     """Subgaussian sample bound: delta^-2 max(dof-term, log(1/fail_prob)).
 
@@ -110,12 +125,12 @@ def sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, fail_prob:
     """
     _check_formula_args(fmt, d, n, r)
     delta, fail_prob = check_real("delta", delta, "(0, 1)"), check_real("fail_prob", fail_prob, "(0, 1)")
-    dof = _dof(fmt, d, n, r) * math.log(d if fmt == "hosvd" else d * r)
+    dof = _float_dof(fmt, d, n, r) * math.log(d if fmt == "hosvd" else d * r)
     bound = delta**-2 * max(dof, math.log(1.0 / fail_prob))
     return SampleComplexityBound(bound=bound, dof_term=dof)
 
 
-@_in_float_range
+@_in_float_range("d", "n", "r")
 def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, eta: float) -> float:
     """Randomized-Fourier sample bound (constant 1):
 
@@ -128,13 +143,13 @@ def fourier_sample_complexity(fmt: str, d: int, n: int, r: int, delta: float, et
     log2 = (d * math.log(n)) ** 2  # log(n^d) without forming n^d, which overflows a float at a large d
     base = (1.0 / delta) * (1.0 + eta) * log2
     if fmt == "hosvd":
-        f = _dof(fmt, d, n, r) * math.log(d)
+        f = _float_dof(fmt, d, n, r) * math.log(d)
     else:
         f = (d * r**3 + d * n * r) * math.log(d * r)
     return base * max(base, f)
 
 
-@_in_float_range
+@_in_float_range("d", "n", "r")
 def covering_bound(fmt: str, d: int, n: int, r: int, eps: float) -> float:
     """Log covering number of the unit-norm rank-r model set.
 
@@ -148,7 +163,7 @@ def covering_bound(fmt: str, d: int, n: int, r: int, eps: float) -> float:
         base = 3.0 * (d + 1) / eps
     else:
         base = 3.0 * (2 * d - 1) * math.sqrt(r) / eps
-    return _dof(fmt, d, n, r) * math.log(base)
+    return _float_dof(fmt, d, n, r) * math.log(base)
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,7 @@ class ConvergenceConstants:
     error_horizon: float
 
 
+@_in_float_range("variant", "a", "delta3r", "opnorm")
 def convergence_constants(variant: str, a: float, delta3r: float, opnorm: float) -> ConvergenceConstants:
     """Evaluate the convergence-theorem constants at the given parameters.
 

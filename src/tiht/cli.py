@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 from . import analysis, experiments, measurements, solvers
 from .formats import FORMATS, mode_sets
@@ -52,6 +52,10 @@ def _default_grid() -> tuple[int, ...]:
     return tuple(range(1, 31)) + tuple(range(35, 101, 5))
 
 
+# the defaults of the eight run settings a flag sets, taken from the library's ExperimentSpec
+_DEFAULTS = {f.name: f.default for f in fields(experiments.ExperimentSpec) if f.init and f.default is not MISSING}
+
+
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", type=_parse_ints, default=(10, 10, 10), help="tensor extents, e.g. 10x10x10")
     p.add_argument(
@@ -61,16 +65,16 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
         help="rank tuple, e.g. 1,1,1 (HOSVD: one per mode, TT: one per prefix) or one int for HT;"
         " default all ones, 1 for HT",
     )
-    p.add_argument("--format", choices=FORMATS, default="hosvd")
-    p.add_argument("--ensemble", choices=measurements.ENSEMBLES, default="gaussian")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=FORMATS, default=_DEFAULTS["format"])
+    p.add_argument("--ensemble", choices=measurements.ENSEMBLES, default=_DEFAULTS["ensemble"])
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=solvers.VARIANTS, default="ntiht")
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--conv-tol", type=float, default=1e-4)
-    p.add_argument("--threshold", type=float, default=None, help="success threshold on the final error")
+    p.add_argument("--variant", choices=solvers.VARIANTS, default=_DEFAULTS["variant"])
+    p.add_argument("--max-iters", type=int, default=_DEFAULTS["max_iters"])
+    p.add_argument("--conv-tol", type=float, default=_DEFAULTS["conv_tol"])
+    p.add_argument("--threshold", type=float, default=_DEFAULTS["threshold"], help="success threshold on the final error")
 
 
 def _solver_rank(args):
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--grid", type=_parse_grid, default=None, help="e.g. 3,8,24 or 1:30 or 5:50:5")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int, default=_DEFAULTS["trials"])
     p.add_argument("--out", default=None, help="results file: JSON when it ends in .json, else CSV")
 
     p = sub.add_parser("trip", help="estimate the restricted isometry constant")
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="evaluate the sample-complexity and covering formulas")
-    p.add_argument("--format", choices=FORMATS, default="hosvd")
+    p.add_argument("--format", choices=FORMATS, default=_DEFAULTS["format"])
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--r", type=int, default=1)
@@ -118,24 +122,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="also report convergence constants at this a")
     p.add_argument("--delta3r", type=float, default=0.0)
     p.add_argument("--opnorm", type=float, default=1.0)
-    p.add_argument("--variant", choices=solvers.VARIANTS, default="ntiht")
+    p.add_argument("--variant", choices=solvers.VARIANTS, default=_DEFAULTS["variant"])
     p.add_argument("--out", default=None)
     return parser
 
 
 def _check_out(*paths) -> None:
-    """Open every output path given for appending, so an unwritable one fails before any work."""
+    """Open every output path given for appending, so an unwritable one fails before any work.
+
+    A file this had to create is removed again: a command that fails later leaves none behind.
+    """
     for path in filter(None, paths):
+        existed = os.path.exists(path)
         open(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _from_flags(cls, args, **given):
+    """``cls`` built from ``given`` and from the parsed flags named after its other fields."""
+    names = {f.name for f in fields(cls) if f.init}
+    return cls(**{name: value for name, value in vars(args).items() if name in names} | given)
 
 
 def _cmd_recover(args) -> int:
@@ -143,21 +150,16 @@ def _cmd_recover(args) -> int:
     shape = args.shape
     m = args.m if args.m is not None else experiments.measurement_count(shape, args.nbar)
     seed = check_count("seed", args.seed, 0)
-    config = solvers.SolverConfig(
-        rank=_solver_rank(args),
-        variant=args.variant,
-        format=args.format,
-        max_iters=args.max_iters,
-        conv_tol=args.conv_tol,
-    )
+    config = _from_flags(solvers.SolverConfig, args, rank=_solver_rank(args))
     _check_out(args.out, args.trace_out)
     X0 = experiments.random_rank_r_tensor(shape, args.format, config.rank, [seed, 0])
     A = measurements.draw(args.ensemble, shape, m, [seed, 1])
     y = A.apply(X0)
     result = solvers.tiht_run(A, y, config, X_ref=X0, success_threshold=threshold)
     if args.trace_out:
-        solvers.export_trace_csv(result, args.trace_out)
-    _emit(
+        experiments.emit_trace(result, args.trace_out)
+    experiments.write_json(
+        args.out,
         {
             "ensemble": args.ensemble,
             "variant": args.variant,
@@ -172,26 +174,13 @@ def _cmd_recover(args) -> int:
             "success": result.success,
             "final_residual": float(result.residuals[-1]),
         },
-        args.out,
     )
     return 0
 
 
 def _cmd_phase(args) -> int:
-    rank = _solver_rank(args)
-    spec = experiments.ExperimentSpec(
-        shape=args.shape,
-        rank=rank,
-        ensemble=args.ensemble,
-        variant=args.variant,
-        format=args.format,
-        grid=_default_grid() if args.grid is None else args.grid,
-        trials=args.trials,
-        threshold=args.threshold,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        conv_tol=args.conv_tol,
-    )
+    grid = _default_grid() if args.grid is None else args.grid
+    spec = _from_flags(experiments.ExperimentSpec, args, rank=_solver_rank(args), grid=grid)
     _check_out(args.out)
     diagram = experiments.run_phase_diagram(spec)
     for cell in diagram.cells:
@@ -211,7 +200,8 @@ def _cmd_trip(args) -> int:
     # sample i takes [seed, i]; numpy pads seed lists with zeros, so `seed` alone is sample 0's stream
     A = measurements.draw(args.ensemble, args.shape, args.m, [seed, 0, 1])
     est = analysis.trip_estimate(A, args.format, rank, args.samples, seed=seed)
-    _emit(
+    experiments.write_json(
+        args.out,
         {
             "ensemble": args.ensemble,
             "format": args.format,
@@ -221,7 +211,6 @@ def _cmd_trip(args) -> int:
             "samples": est.n_samples,
             "delta_hat": est.delta_hat,
         },
-        args.out,
     )
     return 0
 
@@ -249,7 +238,7 @@ def _cmd_bounds(args) -> int:
     if args.a is not None:
         consts = analysis.convergence_constants(args.variant, args.a, args.delta3r, args.opnorm)
         payload["convergence"] = asdict(consts)
-    _emit(payload, args.out)
+    experiments.write_json(args.out, payload)
     return 0
 
 

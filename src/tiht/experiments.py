@@ -34,7 +34,10 @@ __all__ = [
     "measurements_for",
     "run_single_trial",
     "run_phase_diagram",
+    "write_json",
+    "write_table",
     "emit_results",
+    "emit_trace",
 ]
 
 DEFAULT_THRESHOLDS = {kind: 2.5e-3 if kind == "completion" else 1e-3 for kind in ENSEMBLES}
@@ -187,15 +190,34 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     return PhaseDiagram(spec=spec, cells=cells)
 
 
-# results-file columns in their fixed order
+# results-file and trace-file columns in their fixed order
 _COLUMNS = ("type", "shape", "rank", "variant", "nbar", "m", "successes", "trials", "mean_iters", "mean_error")
+_TRACE_COLUMNS = ("iteration", "residual", "step_norm", "mu", "eps_ratio")
+
+
+def write_json(path, value) -> None:
+    """``value`` as JSON, indented by 2 with a closing newline, to ``path`` or, when it is None, to stdout."""
+    text = json.dumps(value, indent=2) + "\n"
+    if path is None:
+        print(text, end="")
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def write_table(path, columns, rows) -> None:
+    """Write rows keyed by ``columns``: a JSON list when ``path`` ends in ``.json``, else CSV under a header."""
+    if str(path).endswith(".json"):
+        write_json(path, rows)
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def emit_results(diagram: PhaseDiagram, path) -> None:
-    """Write cells with the fixed column order, in the spec's grid order.
-
-    A path ending in ``.json`` gets a JSON list of rows, any other path CSV.
-    """
+    """Write cells with the fixed column order, in the spec's grid order, through :func:`write_table`."""
     if not diagram.cells:
         raise ValueError("nothing to emit: no cells")
     rank = diagram.spec.rank
@@ -215,12 +237,13 @@ def emit_results(diagram: PhaseDiagram, path) -> None:
                 "mean_error": cell.mean_error,
             }
         )
-    with open(path, "w", newline="") as fh:
-        if str(path).endswith(".json"):
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.DictWriter(fh, fieldnames=_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+    write_table(path, _COLUMNS, rows)
 
+
+def emit_trace(result, path) -> None:
+    """Write a run's trace through :func:`write_table`, row j for iteration j; an eps_ratio of None is empty in CSV."""
+    rows = [
+        dict(zip(_TRACE_COLUMNS, (j, s.residual, s.step_norm, s.mu, s.eps_ratio)))
+        for j, s in enumerate(result.trace)
+    ]
+    write_table(path, _TRACE_COLUMNS, rows)

@@ -68,19 +68,6 @@ class DimensionTree:
 
         return cls(split(0, order))
 
-    @classmethod
-    def degenerate(cls, order: int) -> "DimensionTree":
-        """The caterpillar (TT-style) tree {1}, {2,...,d}, {2}, {3,...,d}, ..."""
-        if order < 2:
-            raise ValueError("a dimension tree needs order >= 2")
-
-        def chain(lo):
-            if lo == order - 2:
-                return (lo, lo + 1)
-            return (lo, chain(lo + 1))
-
-        return cls(chain(0))
-
     def __eq__(self, other):
         return isinstance(other, DimensionTree) and self.children == other.children
 

@@ -22,7 +22,6 @@ made, for the safeguard's test and the next gradient.  X^0 = 0 has residual y.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ __all__ = [
     "RankProjector",
     "build_Mj",
     "tiht_run",
-    "export_trace_csv",
 ]
 
 
@@ -254,19 +252,3 @@ def tiht_run(
 
     return RecoveryResult(X, stop, trace, final_error, success)
 
-
-def export_trace_csv(result: RecoveryResult, path) -> None:
-    """Write the trace as CSV: iteration, residual, step_norm, mu, eps_ratio."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "step_norm", "mu", "eps_ratio"])
-        for j, s in enumerate(result.trace):
-            writer.writerow(
-                [
-                    j,
-                    repr(s.residual),
-                    repr(s.step_norm),
-                    repr(s.mu),
-                    "" if s.eps_ratio is None else repr(s.eps_ratio),
-                ]
-            )

@@ -15,7 +15,7 @@ import numpy as np
 
 from tiht.analysis import convergence_constants
 from tiht.experiments import _COLUMNS
-from tiht.formats import mode_sets
+from tiht.formats import DimensionTree, mode_sets
 from tiht.solvers import _mu_from_direction
 from tiht.tensors import as_tensor, check_shape, matricize, vec
 
@@ -39,6 +39,14 @@ def ntiht_step_size(A, X_j, y, projector):
     """
     g = A.adjoint(y - A.apply(X_j))
     return _mu_from_direction(A, projector(g))
+
+
+def degenerate_tree(order: int) -> DimensionTree:
+    """The caterpillar (TT-style) tree {1}, {2,...,d}, {2}, {3,...,d}, ...: nested (0, (1, ... (d-2, d-1)))."""
+    nested = order - 1
+    for k in range(order - 2, -1, -1):
+        nested = (k, nested)
+    return DimensionTree(nested)
 
 
 def dense_fourier_matrix(A) -> np.ndarray:

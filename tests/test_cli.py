@@ -1,12 +1,14 @@
+import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import load_results
-from tiht import cli, measurements
+from tiht import cli, experiments, measurements
 from tiht.cli import main
 
 
@@ -31,6 +33,30 @@ def test_bounds_at_a_large_order_prints_json_or_exits_with_status_2(capsys):
             main(["bounds", "--d", str(d), "--r", str(r)])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"tiht bounds: {formula} leaves the float range at d={d}, n=10, r={r}\n"
+
+
+def test_convergence_constants_past_the_float_range_name_their_inputs(capsys):
+    # a squared term of the convergence constants overflows at opnorm 1e300
+    with pytest.raises(SystemExit) as exc:
+        main("bounds --a 0.5 --opnorm 1e300".split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "tiht bounds: convergence_constants leaves the float range at variant=ntiht, a=0.5, delta3r=0.0, opnorm=1e+300\n"
+    )
+
+
+def test_a_bound_past_the_float_range_builds_no_huge_integer(capsys):
+    # 2**(10**8) is past the float range: the bound says so without building the 12.5 MB integer first
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main("bounds --d 100000000 --r 2".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "tiht bounds: sample_complexity leaves the float range at d=100000000, n=10, r=2\n"
+    assert peak < 1_000_000
 
 
 def test_bounds_with_convergence_constants(capsys):
@@ -62,6 +88,49 @@ def test_recover_subcommand(tmp_path, capsys):
     assert payload["stop_reason"] == "converged"
     header = trace.read_text().splitlines()[0]
     assert header == "iteration,residual,step_norm,mu,eps_ratio"
+
+
+def test_trace_out_follows_the_json_suffix_rule(tmp_path, capsys):
+    # the same seeded run, written once as CSV and once as JSON: the same rows in both
+    argv = "recover --shape 6x6x6 --nbar 40 --seed 3 --trace-out".split()
+    assert main([*argv, str(tmp_path / "t.csv")]) == 0
+    assert main([*argv, str(tmp_path / "t.json")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "t.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = json.loads((tmp_path / "t.json").read_text())
+    assert isinstance(json_rows, list) and len(json_rows) > 1
+    assert [{k: "" if v is None else str(v) for k, v in row.items()} for row in json_rows] == csv_rows
+
+
+def test_a_command_that_fails_after_the_output_check_leaves_no_file(tmp_path, capsys):
+    # m > N fails in the completion draw, after every output path was checked
+    out, trace = tmp_path / "o.json", tmp_path / "t.csv"
+    argv = ["recover", "--ensemble", "completion", "--m", "5000", "--out", str(out), "--trace-out", str(trace)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+    # an output file that was there keeps its content
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert out.read_text() == "kept\n" and not trace.exists()
+
+
+def test_phase_run_settings_take_the_library_defaults(monkeypatch, capsys):
+    # none of the eight run-setting flags given: the spec is the one the library builds from shape, rank and grid
+    specs = []
+
+    def capture(spec, workers=None):
+        specs.append(spec)
+        return experiments.PhaseDiagram(spec=spec, cells=[])
+
+    monkeypatch.setattr("tiht.experiments.run_phase_diagram", capture)
+    assert main("phase --shape 4x4 --rank 1,1 --grid 50".split()) == 0
+    assert specs == [experiments.ExperimentSpec(shape=(4, 4), rank=(1, 1), grid=(50,))]
 
 
 def test_in_process_calls_are_independent(tmp_path, capsys):

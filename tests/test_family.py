@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tiht.formats
-from oracles import probe_ranks
+from oracles import degenerate_tree, probe_ranks
 from tiht.analysis import trip_estimate
 from tiht.experiments import ExperimentSpec
 from tiht.formats import DimensionTree, clamp_ranks, mode_sets, random_rank_r_tensor, truncate
@@ -47,11 +47,11 @@ SHAPE = (2, 3, 4, 5)
         (
             SHAPE,
             "ht",
-            DimensionTree.degenerate(4),
+            degenerate_tree(4),
             [(2,), (3,), (1,), (2, 3), (0,), (1, 2, 3)],
             9,
             (4, 5, 3, 6, 2, 2),
-            [({(2, 3): 1}, None), (0, None), (1, DimensionTree.degenerate(5))],
+            [({(2, 3): 1}, None), (0, None), (1, degenerate_tree(5))],
         ),
         (
             (3, 3, 3, 3),
@@ -116,9 +116,9 @@ def test_truncate_resolves_equal_ranks_and_trees_alike():
     assert same(balanced, truncate(X, "ht", np.int64(2), DimensionTree(((0, 1), 2))))
     assert hash(DimensionTree(((0, 1), 2))) == hash(DimensionTree.balanced(3))
     # an explicit tree is part of the key: it is not answered with the default tree
-    degenerate = truncate(X, "ht", 2, DimensionTree.degenerate(3))
-    assert degenerate.tree == DimensionTree.degenerate(3) != balanced.tree
-    assert [S for S, _ in degenerate.blocks()] == DimensionTree.degenerate(3).sets
+    degenerate = truncate(X, "ht", 2, degenerate_tree(3))
+    assert degenerate.tree == degenerate_tree(3) != balanced.tree
+    assert [S for S, _ in degenerate.blocks()] == degenerate_tree(3).sets
     assert not np.array_equal(degenerate.reconstruct(), balanced.reconstruct())
     # a config keeps the checked rank, so equal ranks in any form give equal, hashable configs and specs
     for fmt, rank in (("hosvd", (2, 2, 3)), ("tt", (2, 3)), ("ht", 2)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import probe_ranks
+from oracles import degenerate_tree, probe_ranks
 from tiht.experiments import random_rank_r_tensor
 from tiht.formats import DimensionTree, clamp_ranks, truncate
 from tiht.tensors import frobenius_norm
@@ -20,7 +20,7 @@ def test_balanced_tree_structure():
 
 
 def test_degenerate_tree_is_tt_shaped():
-    tree = DimensionTree.degenerate(4)
+    tree = degenerate_tree(4)
     assert tree.children[(0, 1, 2, 3)] == ((0,), (1, 2, 3))
     assert tree.children[(1, 2, 3)] == ((1,), (2, 3))
     assert tree.children[(2, 3)] == ((2,), (3,))
@@ -134,7 +134,7 @@ def _clamp_cases():
 def test_clamped_ranks_are_the_truncation_ranks(shape, name, field):
     # clamp_ranks is the only rank clamp of an HT truncate, so for every int rank the
     # node frames must come out exactly as wide as the clamp says
-    tree = getattr(DimensionTree, name)(len(shape))
+    tree = {"balanced": DimensionTree.balanced, "degenerate": degenerate_tree}[name](len(shape))
     rng = np.random.default_rng([58, len(shape), sum(shape)])
     X = rng.standard_normal(shape)
     if field == "complex":

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import unvec
+from oracles import degenerate_tree, unvec
 from tiht._linalg import fix_svd_signs, signed_svd, top_left_bases
 from tiht.experiments import random_rank_r_tensor
 from tiht.formats import (
@@ -157,7 +157,7 @@ def _recursive_reconstruct(D):
 
 HT_TREES = {
     "balanced5": (DimensionTree.balanced(5), (2, 3, 4, 3, 2)),
-    "degenerate4": (DimensionTree.degenerate(4), (3, 5, 2, 4)),
+    "degenerate4": (degenerate_tree(4), (3, 5, 2, 4)),
     "irregular6": (DimensionTree((((0, 1), 2), (3, (4, 5)))), (2, 3, 2, 4, 3, 2)),
 }
 

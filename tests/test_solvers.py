@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 import tiht.solvers
-from oracles import ntiht_step_size, probe_ranks
-from tiht.experiments import generate_test_tensor, random_rank_r_tensor
+from oracles import degenerate_tree, ntiht_step_size, probe_ranks
+from tiht.experiments import emit_trace, generate_test_tensor, random_rank_r_tensor
 from tiht.formats import DimensionTree, mode_sets, truncate
 from tiht.measurements import GaussianEnsemble, draw
 from tiht.solvers import (
     RankProjector,
     SolverConfig,
     build_Mj,
-    export_trace_csv,
     tiht_run,
 )
 from tiht.tensors import frobenius_norm
@@ -361,7 +360,7 @@ def test_trace_csv_export(tmp_path):
         A, A.apply(X0), SolverConfig(rank=(1, 1, 1), max_iters=20), X_ref=X0
     )
     out = tmp_path / "trace.csv"
-    export_trace_csv(res, out)
+    emit_trace(res, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iteration,residual,step_norm,mu,eps_ratio"
     assert len(lines) == res.iterations + 1
@@ -422,7 +421,7 @@ def _factored_cases():
         yield field, "tt", (4, 5, 3, 6), (2, 3, 2), None
         yield field, "ht", (5, 5, 5), 2, None
         yield field, "ht", (4, 5, 3, 6), 2, DimensionTree.balanced(4)
-        yield field, "ht", (4, 5, 3, 6), 2, DimensionTree.degenerate(4)
+        yield field, "ht", (4, 5, 3, 6), 2, degenerate_tree(4)
     for field in ("real", "complex"):
         # clamped to the attainable (1, 3, 1): both bases of the prefix (0, 1) are 9 x 3
         yield field, "tt", (3, 3, 3, 3), (1, 9, 1), None

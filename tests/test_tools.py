@@ -41,6 +41,15 @@ def test_trace_identity_dumps_a_run_for_every_exit_to_diverged():
     assert [str(a) for n, a in arrays.items() if n.endswith("/stop_reason")] == ["diverged"] * 4
 
 
+def test_trace_identity_dumps_the_bytes_of_every_cli_command():
+    # the stdout and every output file of recover (with and without --out), phase (CSV and JSON), trip and bounds
+    arrays = _tool().cli_arrays(tiht)
+    assert len(arrays) == 11
+    assert [n for n, a in arrays.items() if not a.size] == ["cli/recover-out/stdout"]  # --out takes the summary
+    assert bytes(arrays["cli/recover/stdout"]) == bytes(arrays["cli/recover-out/s.json"])
+    assert bytes(arrays["cli/phase-csv/stdout"]) == bytes(arrays["cli/phase-json/stdout"])
+
+
 def test_trace_identity_compare_exit_status_gates_on_every_array(tmp_path):
     # the CI trace-identity job passes or fails on this exit status alone
     def compare(a, b):

@@ -14,18 +14,27 @@ per-iteration ``retries``, ``stop_reason`` and the final tensor.  Off the
 balanced 10x10x10 HT path it saves HT draws and ``truncate``'s
 ``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
 real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
-``degenerate(4)``, ``balanced(3)`` and the order-6 tree ``(((0, 1), 2), (3, (4, 5)))``,
-which is neither balanced nor degenerate.  It also saves HOSVD and TT draws of
+the degenerate (caterpillar) tree ``(0, (1, (2, 3)))``, ``balanced(3)`` and the
+order-6 tree ``(((0, 1), 2), (3, (4, 5)))``, which is neither balanced nor
+degenerate.  It also saves HOSVD and TT draws of
 ``random_rank_r_tensor`` on the non-cubic shapes (4, 5, 3, 6) and (2, 3, 4), at
 three ranks each that the rank clamp leaves unchanged and three seeds, and at
 the same shapes and ranks ``truncate``'s ``reconstruct()`` and ``blocks()``
-frames of a real and a complex tensor: 630 arrays in all.
+frames of a real and a complex tensor.  Last, it runs one small seeded
+``tiht recover`` (with and without ``--out``), ``phase`` (``--out`` CSV and
+JSON, ``TIHT_THREADS=1``), ``trip`` and ``bounds`` in process and saves the
+bytes of each one's stdout and output files: 641 arrays in all.
 ``compare`` prints how many arrays are identical and the worst relative
 difference, and exits 1 unless all are.
 """
 
+import contextlib
+import io
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -56,7 +65,7 @@ def dump(src: Path, out: str) -> None:
         A = tiht.measurements.draw(inst.ensemble, w.SHAPE, m, [inst.seed, 1])
         config = tiht.solvers.SolverConfig(rank=inst.solver_rank, format=inst.fmt, max_iters=w.RECOVER_CAP)
         arrays |= run_arrays(tiht, inst.label, A, X0, config, w.THRESHOLDS[inst.ensemble])
-    arrays |= diverging_arrays(tiht) | ht_arrays(tiht) | draw_arrays(tiht)
+    arrays |= diverging_arrays(tiht) | ht_arrays(tiht) | draw_arrays(tiht) | cli_arrays(tiht)
     np.savez(out, **arrays)
     print(f"{len(arrays)} arrays written to {out}")
 
@@ -90,7 +99,7 @@ def ht_arrays(tiht) -> dict:
     DT, rng, arrays = tiht.formats.DimensionTree, np.random.default_rng(2016), {}
     cases = (
         ("balanced5", DT.balanced(5), (2, 3, 4, 3, 2)),
-        ("degenerate4", DT.degenerate(4), (3, 5, 2, 4)),
+        ("degenerate4", DT((0, (1, (2, 3)))), (3, 5, 2, 4)),
         ("balanced3", DT.balanced(3), (4, 2, 5)),
         ("irregular6", DT((((0, 1), 2), (3, (4, 5)))), (2, 3, 2, 4, 3, 2)),
     )
@@ -126,6 +135,31 @@ def draw_arrays(tiht) -> dict:
                 arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
                 for S, U in D.blocks():
                     arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
+    return arrays
+
+
+def cli_arrays(tiht) -> dict:
+    """The bytes of the stdout and of every output file of one small seeded call of each CLI command."""
+    import tiht.cli  # `import tiht` alone does not load the CLI
+    recover = "recover --shape 6x6x6 --nbar 40 --seed 3 --max-iters 300".split()
+    phase = "phase --shape 6x6x6 --rank 1,1,1 --grid 10,50 --trials 3 --seed 11 --max-iters 300".split()
+    calls = (
+        ("recover", recover + ["--trace-out", "t.csv"], ("t.csv",)),
+        ("recover-out", recover + ["--out", "s.json", "--trace-out", "t.csv"], ("s.json", "t.csv")),
+        ("phase-csv", phase + ["--out", "c.csv"], ("c.csv",)),
+        ("phase-json", phase + ["--out", "c.json"], ("c.json",)),
+        ("trip", "trip --shape 5x5x5 --m 100 --samples 4 --seed 2".split(), ()),
+        ("bounds", "bounds --a 0.5".split(), ()),
+    )
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, TIHT_THREADS="1"):
+        for label, argv, files in calls:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                tiht.cli.main([a if a not in files else os.path.join(tmp, a) for a in argv])
+            arrays[f"cli/{label}/stdout"] = np.frombuffer(stdout.getvalue().encode(), dtype=np.uint8)
+            for name in files:
+                arrays[f"cli/{label}/{name}"] = np.fromfile(os.path.join(tmp, name), dtype=np.uint8)
     return arrays
 
 
