@@ -213,11 +213,11 @@ def storage_count(fmt: str, d: int, n: int, r: int) -> int:
     """Exact parameter count of a rank-r representation at uniform n and r.
 
     HOSVD: r^d + d n r.  TT: sum r_{k-1} n r_k with boundary ranks pinned to
-    1.  HT: one r x r x r transfer tensor per interior node (d - 1 of them
-    for any binary tree over d modes) plus the d leaf frames.
+    1, i.e. n r for each end core and n r^2 for each of the d - 2 others.
+    HT: one r x r x r transfer tensor per interior node (d - 1 of them for
+    any binary tree over d modes) plus the d leaf frames.
     """
     _check_formula_args(fmt, d, n, r)
     if fmt == "tt":
-        ranks = [1] + [r] * (d - 1) + [1]
-        return sum(ranks[k] * n * ranks[k + 1] for k in range(d))
+        return 2 * n * r + (d - 2) * n * r * r
     return _dof(fmt, d, n, r)

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--nbar", type=int, help="measurements as percent of N")
     size.add_argument("--m", type=int, help="absolute measurement count")
-    p.add_argument("--trace-out", default=None, help="write the iteration trace as CSV")
+    p.add_argument("--trace-out", default=None, help="write the iteration trace: JSON for a .json path, else CSV")
     p.add_argument("--out", default=None, help="write the JSON summary here instead of stdout")
 
     p = sub.add_parser("phase", help="sweep a measurement-percentage grid")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .formats import DimensionTree, check_rank, truncate
 from .measurements import MeasurementEnsemble
-from .tensors import _layout, check_choice, check_count, check_real, frobenius_norm, vec
+from .tensors import check_choice, check_count, check_real, frobenius_norm, matricize, tensorize, vec
 
 __all__ = [
     "VARIANTS",
@@ -126,17 +126,13 @@ class RankProjector:
     def __init__(self, shape: tuple[int, ...], blocks):
         self.shape = tuple(shape)
         self.blocks = list(blocks)  # (modes, orthonormal basis) pairs, in order
-        # each basis with its adjoint and the layout of its matricization
-        self._steps = [(U, U.conj().T, _layout(self.shape, *modes)) for modes, U in self.blocks]
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z)
         if Z.shape != self.shape:
             raise ValueError(f"tensor of shape {Z.shape} does not match projector shape {self.shape}")
-        # tensorize(U @ (UH @ matricize(Z, modes)), modes, shape), with the layout looked up once
-        for U, UH, (perm, inverse, rows, cols, permuted_shape) in self._steps:
-            M = U @ (UH @ Z.transpose(perm).reshape(rows, cols, order="F"))
-            Z = M.reshape(permuted_shape, order="F").transpose(inverse)
+        for modes, U in self.blocks:
+            Z = tensorize(U @ (U.conj().T @ matricize(Z, modes)), modes, self.shape)
         return Z
 
 

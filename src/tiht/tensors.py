@@ -23,8 +23,6 @@ __all__ = [
     "check_shape",
     "as_tensor",
     "vec",
-    "check_modes",
-    "complement_modes",
     "matricize",
     "tensorize",
     "mode_product",
@@ -79,33 +77,23 @@ def vec(X: np.ndarray) -> np.ndarray:
     return np.asarray(X).reshape(-1, order="F")
 
 
-def check_modes(modes: Sequence[int], order: int) -> tuple[int, ...]:
-    """Validate a mode set: strictly increasing, nonempty subset of range(order)."""
-    S = tuple(check_count("mode index", k, 0) for k in modes)
-    if not S:
-        raise ValueError("mode set must be nonempty")
-    if any(k >= order for k in S):
-        raise ValueError(f"mode set {S} out of range for order {order}")
-    if any(a >= b for a, b in zip(S, S[1:])):
-        raise ValueError(f"mode set {S} must be strictly increasing")
-    return S
-
-
-def complement_modes(modes: Sequence[int], order: int) -> tuple[int, ...]:
-    S = set(modes)
-    return tuple(k for k in range(order) if k not in S)
-
-
 @functools.lru_cache(maxsize=256, typed=True)
 def _layout(shape: tuple[int, ...], *modes: int):
     """Validated layout of the S-matricization of a tensor of this shape.
 
-    The axis permutation (row modes, then the rest), its inverse, the row and column counts and
-    the permuted extents, computed once per shape and modes, typed: a bool mode is not cached as 0 or 1.
+    S is a nonempty, strictly increasing subset of range(order).  The axis permutation
+    (row modes, then the rest), its inverse, the row and column counts and the permuted
+    extents, computed once per shape and modes, typed: a bool mode is not cached as 0 or 1.
     """
     dims = check_shape(shape)
-    S = check_modes(modes, len(dims))
-    perm = S + complement_modes(S, len(dims))
+    S = tuple(check_count("mode index", k, 0) for k in modes)
+    if not S:
+        raise ValueError("mode set must be nonempty")
+    if any(k >= len(dims) for k in S):
+        raise ValueError(f"mode set {S} out of range for order {len(dims)}")
+    if any(a >= b for a, b in zip(S, S[1:])):
+        raise ValueError(f"mode set {S} must be strictly increasing")
+    perm = S + tuple(k for k in range(len(dims)) if k not in S)
     inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
     rows = math.prod(dims[k] for k in S)
     return perm, inverse, rows, math.prod(dims) // rows, tuple(dims[k] for k in perm)

@@ -196,6 +196,16 @@ def test_storage_counts():
         storage_count("cp", 3, 10, 1)
 
 
+def test_tt_storage_count_is_the_rank_list_sum():
+    # the closed form 2 n r + (d - 2) n r^2 is the sum over cores with boundary ranks 1
+    for d in range(2, 31):
+        for n in range(1, 6):
+            for r in range(1, 5):
+                ranks = [1] + [r] * (d - 1) + [1]
+                assert storage_count("tt", d, n, r) == sum(ranks[k] * n * ranks[k + 1] for k in range(d))
+    assert storage_count("tt", 10**6, 10, 2) == 39_999_960
+
+
 @pytest.mark.parametrize("fmt", ["tt", "ht"])
 @pytest.mark.parametrize(
     "formula",

@@ -103,6 +103,13 @@ def test_trace_out_follows_the_json_suffix_rule(tmp_path, capsys):
     assert [{k: "" if v is None else str(v) for k, v in row.items()} for row in json_rows] == csv_rows
 
 
+def test_recover_help_states_the_trace_out_suffix_rule(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--help"])
+    assert exc.value.code == 0
+    assert "write the iteration trace: JSON for a .json path, else CSV" in " ".join(capsys.readouterr().out.split())
+
+
 def test_a_command_that_fails_after_the_output_check_leaves_no_file(tmp_path, capsys):
     # m > N fails in the completion draw, after every output path was checked
     out, trace = tmp_path / "o.json", tmp_path / "t.csv"

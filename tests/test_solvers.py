@@ -120,6 +120,30 @@ def test_build_mj_idempotent_and_fixes_low_rank():
         assert frobenius_norm(proj(X_j) - X_j) <= 1e-10 * frobenius_norm(X_j)
 
 
+@pytest.mark.parametrize(
+    "fmt, shape, rank, tree",
+    [
+        ("hosvd", (4, 5, 3, 6), (2, 3, 2, 3), None),
+        ("tt", (4, 5, 3, 6), (2, 3, 2), None),
+        ("ht", (4, 5, 3, 6), 2, DimensionTree.balanced(4)),
+        ("ht", (4, 5, 3, 6), 2, degenerate_tree(4)),  # (0, (1, (2, 3)))
+        ("ht", (3, 4, 2, 3, 2, 3), 2, DimensionTree((((0, 1), 2), (3, (4, 5))))),
+    ],
+)
+def test_complex_projector_is_idempotent_and_self_adjoint(fmt, shape, rank, tree):
+    # M^j of every Fourier run acts on complex gradients: it is an orthogonal projector there too
+    rng = np.random.default_rng([41, len(shape), len(fmt)])
+
+    def draw_tensor():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    proj = RankProjector(shape, truncate(draw_tensor(), fmt, rank, tree).blocks())
+    Z, W = draw_tensor(), draw_tensor()
+    once = proj(Z)
+    assert frobenius_norm(proj(once) - once) <= 1e-12 * frobenius_norm(once)
+    assert abs(np.vdot(once, W) - np.vdot(Z, proj(W))) <= 1e-12 * frobenius_norm(Z) * frobenius_norm(W)
+
+
 def test_build_mj_matrix_case_is_two_sided_projection():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((6, 7))

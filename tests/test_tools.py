@@ -28,8 +28,9 @@ def test_trace_identity_dumps_the_ht_and_draw_arrays():
     tool = _tool()
     arrays = tool.ht_arrays(tiht) | tool.draw_arrays(tiht)
     # 204 HT draws, reconstructions and node frames; 36 HOSVD and TT draws and
-    # 96 HOSVD and TT reconstructions and frames
-    assert len(arrays) == 336
+    # 96 HOSVD and TT reconstructions and frames; 48 projector images, one per truncation
+    assert len(arrays) == 384
+    assert sum(name.endswith("/projector") for name in arrays) == 48
     assert all(np.all(np.isfinite(a)) for a in arrays.values())
 
 

@@ -12,18 +12,20 @@ cap 100.  It also runs the four seeded diverging runs of
 run it saves ``mus``, ``residuals``, ``step_norms``, ``eps_ratios``,
 per-iteration ``retries``, ``stop_reason`` and the final tensor.  Off the
 balanced 10x10x10 HT path it saves HT draws and ``truncate``'s
-``reconstruct()`` and ``blocks()`` frames at ranks 1-3, on
-real and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
+``reconstruct()`` and ``blocks()`` frames at ranks 1-3, with the image of a
+seeded tensor under ``RankProjector(shape, blocks())`` (their M^j), on real
+and complex non-cubic tensors over ``balanced(5)`` (leaves at two levels),
 the degenerate (caterpillar) tree ``(0, (1, (2, 3)))``, ``balanced(3)`` and the
 order-6 tree ``(((0, 1), 2), (3, (4, 5)))``, which is neither balanced nor
 degenerate.  It also saves HOSVD and TT draws of
 ``random_rank_r_tensor`` on the non-cubic shapes (4, 5, 3, 6) and (2, 3, 4), at
 three ranks each that the rank clamp leaves unchanged and three seeds, and at
 the same shapes and ranks ``truncate``'s ``reconstruct()`` and ``blocks()``
-frames of a real and a complex tensor.  Last, it runs one small seeded
-``tiht recover`` (with and without ``--out``), ``phase`` (``--out`` CSV and
-JSON, ``TIHT_THREADS=1``), ``trip`` and ``bounds`` in process and saves the
-bytes of each one's stdout and output files: 641 arrays in all.
+frames of a real and a complex tensor, with their projector image.  Last,
+it runs one small seeded ``tiht recover`` (with and without ``--out``),
+``phase`` (``--out`` CSV and JSON, ``TIHT_THREADS=1``), ``trip`` and
+``bounds`` in process and saves the bytes of each one's stdout and output
+files: 689 arrays in all.
 ``compare`` prints how many arrays are identical and the worst relative
 difference, and exits 1 unless all are.
 """
@@ -96,7 +98,7 @@ def diverging_arrays(tiht) -> dict:
 
 
 def ht_arrays(tiht) -> dict:
-    DT, rng, arrays = tiht.formats.DimensionTree, np.random.default_rng(2016), {}
+    DT, rng, z_rng, arrays = tiht.formats.DimensionTree, np.random.default_rng(2016), np.random.default_rng(2017), {}
     cases = (
         ("balanced5", DT.balanced(5), (2, 3, 4, 3, 2)),
         ("degenerate4", DT((0, (1, (2, 3)))), (3, 5, 2, 4)),
@@ -108,11 +110,7 @@ def ht_arrays(tiht) -> dict:
             label = f"ht/{name}/rank{r}"
             arrays[f"{label}/draw"] = tiht.experiments.random_rank_r_tensor(shape, "ht", r, [2016, r], tree)
             for field in ("real", "complex"):
-                X = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
-                D = tiht.formats.truncate(X, "ht", r, tree)
-                arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
-                for S, U in D.blocks():
-                    arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
+                arrays |= truncation_arrays(tiht, f"{label}/{field}", rng, z_rng, shape, field, "ht", r, tree)
     return arrays
 
 
@@ -123,18 +121,28 @@ def draw_arrays(tiht) -> dict:
         ((2, 3, 4), "hosvd", ((1, 1, 1), (2, 2, 2), (2, 3, 4))),
         ((2, 3, 4), "tt", ((1, 1), (2, 2), (2, 4))),
     )
-    rng, arrays = np.random.default_rng(2016), {}
+    rng, z_rng, arrays = np.random.default_rng(2016), np.random.default_rng(2017), {}
     for shape, fmt, ranks in cases:
         for r in ranks:
             label = f"{fmt}/{'x'.join(map(str, shape))}/rank{''.join(map(str, r))}"
             for seed in range(3):
                 arrays[f"{label}/seed{seed}/draw"] = tiht.experiments.random_rank_r_tensor(shape, fmt, r, [2016, seed])
             for field in ("real", "complex"):
-                X = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if field == "complex" else 0)
-                D = tiht.formats.truncate(X, fmt, r)
-                arrays[f"{label}/{field}/reconstruct"] = D.reconstruct()
-                for S, U in D.blocks():
-                    arrays[f"{label}/{field}/frame{''.join(map(str, S))}"] = U
+                arrays |= truncation_arrays(tiht, f"{label}/{field}", rng, z_rng, shape, field, fmt, r)
+    return arrays
+
+
+def truncation_arrays(tiht, label, rng, z_rng, shape, field, fmt, rank, tree=None) -> dict:
+    """``reconstruct()`` and ``blocks()`` of the truncation of a draw from ``rng``, and its M^j applied to a draw from ``z_rng``."""
+
+    def draw(gen):
+        return gen.standard_normal(shape) + (1j * gen.standard_normal(shape) if field == "complex" else 0)
+
+    D = tiht.formats.truncate(draw(rng), fmt, rank, tree)
+    arrays = {f"{label}/reconstruct": D.reconstruct()}
+    for S, U in D.blocks():
+        arrays[f"{label}/frame{''.join(map(str, S))}"] = U
+    arrays[f"{label}/projector"] = tiht.solvers.RankProjector(shape, D.blocks())(draw(z_rng))
     return arrays
 
 
