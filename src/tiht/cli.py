@@ -131,8 +131,12 @@ def _check_out(*paths) -> None:
     """Open every output path given for appending, so an unwritable one fails before any work.
 
     A file this had to create is removed again: a command that fails later leaves none behind.
+    Two paths that resolve to one file are an error, since the later write would replace the first.
     """
-    for path in filter(None, paths):
+    paths = [path for path in paths if path]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"the output paths {', '.join(paths)} name one file")
+    for path in paths:
         existed = os.path.exists(path)
         open(path, "a").close()
         if not existed:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import fix_svd_signs, top_left_bases
+from .._linalg import top_left_bases
 from ..tensors import check_shape, matricize, mode_product
 from .family import draw_ranks
 
@@ -58,8 +58,5 @@ def hosvd_random(shape, ranks, seed) -> np.ndarray:
     _, r = draw_ranks("hosvd", ranks, dims)
     rng = np.random.default_rng(seed)
     core = rng.standard_normal(r)
-    factors = []
-    for n, rk in zip(dims, r):
-        U, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
-        factors.append(fix_svd_signs(U[:, :rk]))
+    factors = top_left_bases([rng.standard_normal((n, n)) for n in dims], r)
     return HosvdDecomposition(core, tuple(factors)).reconstruct()

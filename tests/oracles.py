@@ -65,6 +65,26 @@ def dense_fourier_matrix(A) -> np.ndarray:
     return (F @ D)[A.omega] / math.sqrt(A.m)
 
 
+class RealFourierModel:
+    """A Fourier ensemble read as a map of real tensors into C^m = R^{2m}.
+
+    ``apply`` is the ensemble's own; the adjoint of that real map is the real
+    part of the complex adjoint, and ``field`` is "real", so ``tiht_run``
+    iterates over real tensors.  The library's Fourier runs search complex ones.
+    """
+
+    field = "real"
+
+    def __init__(self, A):
+        self.A, self.shape, self.m = A, A.shape, A.m
+
+    def apply(self, X):
+        return self.A.apply(X)
+
+    def adjoint(self, y):
+        return self.A.adjoint(y).real
+
+
 def contraction_factor(variant: str, a: float, delta3r: float, opnorm: float) -> float:
     """Per-iteration contraction coefficient from the convergence proof.
 

@@ -236,6 +236,21 @@ def test_an_unwritable_output_exits_before_any_draw(argv, flag, tmp_path, monkey
     assert capsys.readouterr().err.count(str(out)) == 1
 
 
+@pytest.mark.parametrize("out, trace_out", [("x.json", "x.json"), ("./x.json", "x.json")])
+def test_two_outputs_naming_one_file_exit_before_any_draw(out, trace_out, tmp_path, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw ran")
+
+    monkeypatch.setattr("tiht.measurements.draw", no_draw)
+    monkeypatch.setattr("tiht.experiments.random_rank_r_tensor", no_draw)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--shape", "6x6x6", "--nbar", "40", "--seed", "3", "--out", out, "--trace-out", trace_out])
+    assert exc.value.code == 2
+    assert "name one file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag", ["--variant=ctiht", "--max-iters=3", "--conv-tol=1e-3", "--threshold=1e-3"]
 )

@@ -3,10 +3,9 @@
 The references below are the earlier implementations: one SVD and a Python
 column loop per basis, ``tensordot`` plus ``moveaxis`` per mode product, the
 recursive dimension-tree walks of the HT draw and the HT node frames with
-``np.kron``, the ``tensordot`` chain of a TT reconstruction, the projector as
-``matricize``/``tensorize`` per block, the measurement maps through
-``vec``/``unvec``, the Gaussian matrix as a new quotient by sqrt(m) and
-``np.linalg.norm``.
+``np.kron``, the ``tensordot`` chain of a TT reconstruction, one full SVD
+per mode of the HOSVD draw, the measurement maps through ``vec``/``unvec``,
+the Gaussian matrix as a new quotient by sqrt(m) and ``np.linalg.norm``.
 The kernels must agree with them under ``np.array_equal``, not within a
 tolerance, so that seeded traces stay identical.
 """
@@ -26,9 +25,9 @@ from tiht.formats import (
     mode_sets,
     truncate,
 )
+from tiht.formats.hosvd import hosvd_random
 from tiht.measurements import draw
-from tiht.solvers import RankProjector
-from tiht.tensors import frobenius_norm, matricize, mode_product, tensorize, vec
+from tiht.tensors import frobenius_norm, matricize, mode_product, vec
 
 
 def _loop_fix_svd_signs(U, SVt=None):
@@ -231,20 +230,21 @@ def test_ht_node_frames_are_computed_once_as_the_kron_form(name, field):
     assert all(U is V for (_, U), (_, V) in zip(blocks, D.blocks(), strict=True))
 
 
-def _composed_projector(shape, blocks, Z):
-    for modes, U in blocks:
-        Z = tensorize(U @ (U.conj().T @ matricize(Z, modes)), modes, shape)
-    return Z
+def _per_mode_hosvd_draw(shape, ranks, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(ranks)
+    for k, (n, r) in enumerate(zip(shape, ranks)):
+        U, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
+        X = np.moveaxis(np.tensordot(X, _loop_fix_svd_signs(U[:, :r]), ([k], [1])), -1, k)
+    return X
 
 
-@pytest.mark.parametrize("fmt, rank", [("hosvd", (2, 1, 3, 2)), ("tt", (2, 3, 2)), ("ht", 2)])
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_rank_projector_is_the_matricize_tensorize_composition(fmt, rank, field):
-    rng = np.random.default_rng(16)
-    shape = (4, 5, 3, 6)
-    blocks = truncate(_random(rng, shape, field), fmt, rank).blocks()
-    Z = _random(rng, shape, field)
-    assert np.array_equal(RankProjector(shape, blocks)(Z), _composed_projector(shape, blocks, Z))
+# unequal ranks within one group of equal n x n matrices, and a shape with no two extents alike
+@pytest.mark.parametrize("shape, ranks", [((10, 10, 10), (3, 2, 3)), ((4, 5, 3, 6), (4, 2, 3, 5))])
+def test_hosvd_draw_is_one_svd_per_mode_bit_for_bit(shape, ranks):
+    for seed in (3, [3, 1], [2016, 8, 3, 0]):
+        expected = _per_mode_hosvd_draw(shape, ranks, seed)
+        assert np.array_equal(hosvd_random(shape, ranks, seed), expected), seed
 
 
 def _unvec_adjoint(A, y):
