@@ -220,23 +220,13 @@ def emit_results(diagram: PhaseDiagram, path) -> None:
     """Write cells with the fixed column order, in the spec's grid order, through :func:`write_table`."""
     if not diagram.cells:
         raise ValueError("nothing to emit: no cells")
-    rank = diagram.spec.rank
-    rows = []
-    for cell in diagram.cells:
-        rows.append(
-            {
-                "type": diagram.spec.ensemble,
-                "shape": "x".join(str(n) for n in diagram.spec.shape),
-                "rank": ",".join(map(str, rank)) if isinstance(rank, tuple) else str(rank),
-                "variant": diagram.spec.variant,
-                "nbar": cell.nbar,
-                "m": cell.m,
-                "successes": cell.successes,
-                "trials": cell.trials,
-                "mean_iters": cell.mean_iterations,
-                "mean_error": cell.mean_error,
-            }
-        )
+    spec = diagram.spec
+    rank = ",".join(map(str, spec.rank)) if isinstance(spec.rank, tuple) else str(spec.rank)
+    run = (spec.ensemble, "x".join(map(str, spec.shape)), rank, spec.variant)
+    rows = [
+        dict(zip(_COLUMNS, run + (c.nbar, c.m, c.successes, c.trials, c.mean_iterations, c.mean_error)))
+        for c in diagram.cells
+    ]
     write_table(path, _COLUMNS, rows)
 
 

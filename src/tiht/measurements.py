@@ -30,16 +30,12 @@ __all__ = [
 
 
 class MeasurementEnsemble:
-    """Common surface: ``apply`` (tensor -> m-vector) and its exact ``adjoint``."""
+    """A map is ``shape``, ``m``, ``apply`` (tensor -> m-vector) and its exact ``adjoint``; nothing else is read."""
 
     def __init__(self, shape, m: int):
         self.shape = check_shape(shape)
         self.size = math.prod(self.shape)
         self.m = check_count("m", m)
-
-    @property
-    def field(self) -> str:
-        return "real"
 
     def _draw_sample_set(self, rng) -> np.ndarray:
         """m distinct flat indices drawn uniformly without replacement."""
@@ -107,10 +103,6 @@ class FourierEnsemble(MeasurementEnsemble):
         rng = np.random.default_rng(seed)
         self.signs = rng.integers(0, 2, size=self.shape).astype(np.float64) * 2.0 - 1.0
         self.omega = self._draw_sample_set(rng)
-
-    @property
-    def field(self) -> str:
-        return "complex"
 
     def apply(self, X):
         X = self._check_input(X)

@@ -166,7 +166,9 @@ def tiht_run(
     X_ref: np.ndarray | None = None,
     success_threshold: float | None = None,
 ) -> RecoveryResult:
-    """Run CTIHT/NTIHT from X^0 = 0 until the step norm drops below conv_tol or max_iters.
+    """Run CTIHT/NTIHT from the real X^0 = 0 until the step norm drops below conv_tol or max_iters.
+
+    ``A`` is read only through ``shape``, ``m``, ``apply`` and ``adjoint``.
 
     When ``X_ref`` is given, the per-iteration ratio
     ||Y^j - X^{j+1}||_F / ||Y^j - X_ref||_F is recorded (diagnostic only) and
@@ -178,7 +180,7 @@ def tiht_run(
     if X_ref is not None and np.shape(X_ref) != A.shape:
         raise ValueError(f"reference tensor of shape {np.shape(X_ref)}, expected {A.shape}")
     success_threshold = None if success_threshold is None else check_real("success_threshold", success_threshold)
-    X = np.zeros(A.shape, dtype=np.complex128 if A.field == "complex" else np.float64)
+    X = np.zeros(A.shape)
 
     ntiht = config.variant == "ntiht"
     trace: list[IterateState] = []

@@ -69,11 +69,9 @@ class RealFourierModel:
     """A Fourier ensemble read as a map of real tensors into C^m = R^{2m}.
 
     ``apply`` is the ensemble's own; the adjoint of that real map is the real
-    part of the complex adjoint, and ``field`` is "real", so ``tiht_run``
-    iterates over real tensors.  The library's Fourier runs search complex ones.
+    part of the complex adjoint, and that alone keeps ``tiht_run``'s iterates
+    real, as X^0 = 0 is.  The library's Fourier runs search complex ones.
     """
-
-    field = "real"
 
     def __init__(self, A):
         self.A, self.shape, self.m = A, A.shape, A.m

@@ -132,7 +132,7 @@ def test_criterion_6_fourier_oracle_and_adjoints():
     shape, m = (3, 4, 5), 17
     for kind in ("gaussian", "fourier", "completion"):
         A = draw(kind, shape, m, seed=[MASTER_SEED, 62])
-        complex_field = A.field == "complex"
+        complex_field = kind == "fourier"
         for _ in range(200):
             X = rng.standard_normal(shape)
             y = rng.standard_normal(m)

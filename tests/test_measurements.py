@@ -46,19 +46,23 @@ def test_linearity():
 
 
 def test_adjoint_identity_200_pairs_all_ensembles():
+    # every map is C-linear with its adjoint (the Gaussian matrix.T is its conjugate
+    # transpose), so the identity holds on real and on complex data; the first pass
+    # takes complex data for Fourier only, the second the other field for each map
     rng = np.random.default_rng(4)
     shape = (3, 4, 5)
     m = 17
-    for kind in ("gaussian", "fourier", "completion"):
-        A = draw(kind, shape, m, seed=5)
-        complex_field = A.field == "complex"
-        for _ in range(200):
-            X = _random_tensor(rng, shape, complex_field)
-            y = _random_tensor(rng, (m,), complex_field)
-            lhs = np.vdot(A.apply(X), y)
-            rhs = inner_product(X, A.adjoint(y)) if complex_field else np.vdot(X, A.adjoint(y))
-            scale = frobenius_norm(X) * np.linalg.norm(y)
-            assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
+    maps = {kind: draw(kind, shape, m, seed=5) for kind in ("gaussian", "fourier", "completion")}
+    for swap in (False, True):
+        for kind, A in maps.items():
+            complex_field = (kind == "fourier") != swap
+            for _ in range(200):
+                X = _random_tensor(rng, shape, complex_field)
+                y = _random_tensor(rng, (m,), complex_field)
+                lhs = np.vdot(A.apply(X), y)
+                rhs = inner_product(X, A.adjoint(y)) if complex_field else np.vdot(X, A.adjoint(y))
+                scale = frobenius_norm(X) * np.linalg.norm(y)
+                assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0), (kind, complex_field)
 
 
 def test_adjoint_identity_with_an_integer_vector():

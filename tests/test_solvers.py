@@ -313,6 +313,36 @@ def test_real_fourier_model_recovers_the_cell_where_complex_iterates_fail():
         assert result.success and result.tensor.dtype == np.float64, trial
 
 
+class _Map:
+    """Only the map contract, ``shape``, ``m``, ``apply`` and ``adjoint``, taken from ``A``."""
+
+    def __init__(self, A):
+        self.shape, self.m, self.apply, self.adjoint = A.shape, A.m, A.apply, A.adjoint
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_map_is_its_shape_m_apply_and_adjoint():
+    # tiht_run reads nothing else of a map: the contract alone gives the ensemble's
+    # own run bit for bit, and the adjoint alone fixes the dtype of the iterates
+    X0 = generate_test_tensor(SHAPE, (1, 1, 1), seed=30)
+    cfg = SolverConfig(rank=(1, 1, 1), max_iters=20)  # 3% measurements: the safeguard backs off
+    for ensemble, dtype in (("gaussian", np.float64), ("fourier", np.complex128)):
+        A = draw(ensemble, SHAPE, 30, seed=31)
+        y = A.apply(X0)
+        got, expected = tiht_run(_Map(A), y, cfg, X_ref=X0), tiht_run(A, y, cfg, X_ref=X0)
+        assert got.tensor.dtype == dtype and any(s.retries for s in got.trace), ensemble
+        for name in ("tensor", "mus", "residuals", "step_norms"):
+            assert _same_bits(getattr(got, name), getattr(expected, name)), (ensemble, name)
+        assert [s.retries for s in got.trace] == [s.retries for s in expected.trace], ensemble
+        assert got.stop_reason == expected.stop_reason, ensemble
+    # A is the Fourier map: a real adjoint alone keeps the iterates real
+    assert tiht_run(RealFourierModel(A), y, cfg, X_ref=X0).tensor.dtype == np.float64
+
+
 def test_divergence_recorded_not_raised():
     # A = 2I makes the CTIHT error map e -> -3e, a clean geometric blow-up
     shape = (3, 3, 3)
@@ -522,7 +552,7 @@ class _CountingEnsemble:
     """``A`` with a count of its ``apply`` calls."""
 
     def __init__(self, A):
-        self.A, self.shape, self.m, self.field = A, A.shape, A.m, A.field
+        self.A, self.shape, self.m = A, A.shape, A.m
         self.applies = 0
 
     def apply(self, X):

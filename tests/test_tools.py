@@ -72,6 +72,12 @@ def test_trace_identity_compare_exit_status_gates_on_every_array(tmp_path):
     assert changed.stdout.splitlines()[0] == "run/mus: differs or is missing on one side"
     assert "1/2 arrays identical" in changed.stdout
 
+    # equal values are not enough: a dtype change and a signed zero are differences too
+    for a, b in ((np.zeros(3), np.zeros(3, complex)), (np.array(0.0), np.array(-0.0))):
+        strict = compare({"x": a}, {"x": b})
+        assert strict.returncode == 1, (a, b)
+        assert "0/1 arrays identical" in strict.stdout
+
 
 def _run_doc(correct=True, failed=0, **metrics):
     return {
