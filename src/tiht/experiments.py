@@ -15,18 +15,21 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .formats import draw_ranks, hosvd_random as generate_test_tensor, random_rank_r_tensor
 from .measurements import ENSEMBLES, draw
-from .solvers import SolverConfig, tiht_run
-from .tensors import check_choice, check_count, check_real, check_shape
+from .solvers import RecoveryResult, SolverConfig, tiht_run
+from .tensors import check_choice, check_count, check_real, check_shape, frobenius_norm
 
 __all__ = [
     "ExperimentSpec",
     "PhaseCell",
     "PhaseDiagram",
+    "TrialRecord",
+    "trial_record",
     "generate_test_tensor",
     "random_rank_r_tensor",
     "success_threshold",
@@ -100,9 +103,64 @@ class PhaseCell:
         return self.successes / self.trials
 
 
+class TrialRecord(NamedTuple):
+    """One trial of a sweep, as :func:`trial_record` builds it: ints, floats, bools, strings and None only.
+
+    A field that a run stopped before its first iteration cannot fill is
+    None, never NaN, so records compare with ``==``.  ``digest`` is the
+    SHA-256 hex digest of the bytes of the run's ``mus``, ``residuals``,
+    ``step_norms``, per-iteration retries as int64 and final tensor.
+    """
+
+    nbar: int
+    trial: int
+    success: bool
+    iterations: int
+    final_error: float
+    stop_reason: str
+    x0_norm: float
+    last_step_norm: float | None
+    retries: int  # safeguard backoffs over the run
+    most_retries: int | None  # in one iteration
+    retry_iterations: int  # iterations with at least one backoff
+    mu_ratio: float | None  # the last iteration's mu over the first's
+    first_mu_fallback: bool | None  # the first step fell back to mu = 1
+    max_eps_ratio: float | None
+    digest: str
+
+
+def trial_record(nbar: int, trial: int, X0: np.ndarray, result: RecoveryResult) -> TrialRecord:
+    """The record of ``result``, trial ``trial`` of the ``nbar`` cell, run with ``X_ref=X0``."""
+    import hashlib  # numpy.random loads it at the first draw; here `import tiht` does not pay its 3.6 MB of RSS
+
+    trace = result.trace
+    retries = [s.retries for s in trace]
+    digest = hashlib.sha256()
+    for a in (result.mus, result.residuals, result.step_norms, np.array(retries, dtype=np.int64), result.tensor):
+        digest.update(a.tobytes())
+    return TrialRecord(
+        nbar=nbar,
+        trial=trial,
+        success=bool(result.success),
+        iterations=result.iterations,
+        final_error=float(result.final_error),
+        stop_reason=result.stop_reason,
+        x0_norm=frobenius_norm(X0),
+        last_step_norm=trace[-1].step_norm if trace else None,
+        retries=sum(retries),
+        most_retries=max(retries, default=None),
+        retry_iterations=sum(r > 0 for r in retries),
+        mu_ratio=trace[-1].mu / trace[0].mu if trace else None,
+        first_mu_fallback=trace[0].mu_fallback if trace else None,
+        max_eps_ratio=max((s.eps_ratio for s in trace), default=None),
+        digest=digest.hexdigest(),
+    )
+
+
 @dataclass
 class PhaseDiagram:
-    """All cells of a sweep plus the transition summary of the results table.
+    """All cells of a sweep, the record of every trial in task order (grid,
+    then trial), and the transition summary of the results table.
 
     ``nbar_full`` is the minimal grid percentage with every trial successful;
     ``nbar_zero`` the maximal grid percentage with no successful trial.
@@ -111,6 +169,7 @@ class PhaseDiagram:
 
     spec: ExperimentSpec
     cells: list[PhaseCell]
+    records: list[TrialRecord] = field(default_factory=list)
 
     @property
     def nbar_full(self) -> int | None:
@@ -136,11 +195,13 @@ def measurements_for(spec: ExperimentSpec, nbar: int, trial: int):
     return X0, A, A.apply(X0)
 
 
-def run_single_trial(spec: ExperimentSpec, nbar: int, trial: int):
-    """Run one seeded trial; returns (success, iterations, final_error)."""
+def run_single_trial(spec: ExperimentSpec, nbar: int, trial: int) -> TrialRecord:
+    """Run one seeded trial from :func:`measurements_for` and return its :class:`TrialRecord`.
+
+    Each worker of a sweep runs this, so any trial replays alone.
+    """
     X0, A, y = measurements_for(spec, nbar, trial)
-    result = tiht_run(A, y, spec, X_ref=X0, success_threshold=spec.threshold)
-    return bool(result.success), result.iterations, float(result.final_error)
+    return trial_record(nbar, trial, X0, tiht_run(A, y, spec, X_ref=X0, success_threshold=spec.threshold))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -165,29 +226,27 @@ def run_phase_diagram(spec: ExperimentSpec, workers: int | None = None) -> Phase
     # the fork start method starts every worker with the first task, so no more than there are tasks
     workers = min(resolve_workers(workers), len(tasks))
     if workers == 1:
-        outcomes = [run_single_trial(*t) for t in tasks]
+        records = [run_single_trial(*t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only a pooled sweep does
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            outcomes = list(pool.map(run_single_trial, *zip(*tasks), chunksize=chunk))
+            records = list(pool.map(run_single_trial, *zip(*tasks), chunksize=chunk))
 
     cells = []
-    idx = 0
     for nbar in spec.grid:
-        batch = outcomes[idx : idx + spec.trials]
-        idx += spec.trials
+        batch = [r for r in records if r.nbar == nbar]
         cells.append(
             PhaseCell(
                 nbar=nbar,
                 m=measurement_count(spec.shape, nbar),
-                successes=sum(1 for ok, _, _ in batch if ok),
+                successes=sum(r.success for r in batch),
                 trials=spec.trials,
-                mean_iterations=float(np.mean([it for _, it, _ in batch])),
-                mean_error=float(np.mean([err for _, _, err in batch])),
+                mean_iterations=float(np.mean([r.iterations for r in batch])),
+                mean_error=float(np.mean([r.final_error for r in batch])),
             )
         )
-    return PhaseDiagram(spec=spec, cells=cells)
+    return PhaseDiagram(spec=spec, cells=cells, records=records)
 
 
 # results-file and trace-file columns in their fixed order

@@ -94,8 +94,6 @@ def ht_truncate(X: np.ndarray, tree: DimensionTree, ranks) -> HTDecomposition:
         C = tensorize(W.conj().T @ M, (p,), new_shape)
         active[p : p + 2] = [node]
 
-    if active != list(tree.children[tree.root]):
-        raise RuntimeError("tree traversal did not reduce to the root's sons")
     transfers[tree.root] = C[None, :, :]
     return HTDecomposition(tree=tree, transfers=transfers, frames=frames, shape=dims)
 

@@ -137,7 +137,10 @@ def test_phase_run_settings_take_the_library_defaults(monkeypatch, capsys):
 
     monkeypatch.setattr("tiht.experiments.run_phase_diagram", capture)
     assert main("phase --shape 4x4 --rank 1,1 --grid 50".split()) == 0
-    assert specs == [experiments.ExperimentSpec(shape=(4, 4), rank=(1, 1), grid=(50,))]
+    # without --grid the sweep runs 1..30 by 1, then 35..100 by 5
+    assert main("phase --shape 4x4 --rank 1,1".split()) == 0
+    default_grid = tuple(range(1, 31)) + tuple(range(35, 101, 5))
+    assert specs == [experiments.ExperimentSpec(shape=(4, 4), rank=(1, 1), grid=g) for g in ((50,), default_grid)]
 
 
 def test_in_process_calls_are_independent(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from oracles import load_results, probe_ranks
 from tiht.experiments import (
     ExperimentSpec,
+    TrialRecord,
     emit_results,
     generate_test_tensor,
     measurement_count,
@@ -19,9 +21,11 @@ from tiht.experiments import (
     run_phase_diagram,
     run_single_trial,
     success_threshold,
+    trial_record,
 )
-from tiht.measurements import ENSEMBLES
+from tiht.measurements import ENSEMBLES, GaussianEnsemble
 from tiht.solvers import SolverConfig, tiht_run
+from tiht.tensors import frobenius_norm
 
 
 def _small_spec(**overrides):
@@ -168,11 +172,15 @@ def test_spec_accepts_tt_and_ht_ranks_that_get_clamped():
 def test_phase_diagram_deterministic_across_worker_counts():
     spec = _small_spec()
     serial = run_phase_diagram(spec, workers=1)
-    parallel = run_phase_diagram(spec, workers=2)
-    for a, b in zip(serial.cells, parallel.cells):
-        assert (a.nbar, a.m, a.successes, a.trials) == (b.nbar, b.m, b.successes, b.trials)
-        assert a.mean_iterations == b.mean_iterations
-        assert a.mean_error == b.mean_error
+    # one record per (nbar, trial), in task order
+    assert [(r.nbar, r.trial) for r in serial.records] == [(n, t) for n in spec.grid for t in range(spec.trials)]
+    for workers in (2, 32):  # 32 workers are capped at the 8 tasks
+        parallel = run_phase_diagram(spec, workers=workers)
+        assert parallel.records == serial.records
+        for a, b in zip(serial.cells, parallel.cells):
+            assert (a.nbar, a.m, a.successes, a.trials) == (b.nbar, b.m, b.successes, b.trials)
+            assert a.mean_iterations == b.mean_iterations
+            assert a.mean_error == b.mean_error
 
 
 def test_pool_is_sized_by_its_tasks(monkeypatch):
@@ -258,12 +266,70 @@ def test_single_trial_replay_matches_sweep():
     diagram = run_phase_diagram(spec, workers=1)
     replayed = [run_single_trial(spec, 50, t) for t in range(spec.trials)]
     cell = next(c for c in diagram.cells if c.nbar == 50)
-    assert sum(1 for ok, _, _ in replayed if ok) == cell.successes
+    assert sum(1 for r in replayed if r.success) == cell.successes
     assert np.isclose(
-        float(np.mean([it for _, it, _ in replayed])), cell.mean_iterations
+        float(np.mean([r.iterations for r in replayed])), cell.mean_iterations
     )
     assert np.isclose(
-        float(np.mean([err for _, _, err in replayed])), cell.mean_error
+        float(np.mean([r.final_error for r in replayed])), cell.mean_error
+    )
+
+
+def _digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def test_a_record_is_its_run_field_by_field():
+    spec = _small_spec()
+    records = run_phase_diagram(spec, workers=1).records
+    assert any(r.retries for r in records) and any(r.stop_reason == "max_iters" for r in records)
+    for record in records:
+        X0, A, y = measurements_for(spec, record.nbar, record.trial)
+        run = tiht_run(A, y, spec, X_ref=X0, success_threshold=spec.threshold)
+        retries = [s.retries for s in run.trace]
+        assert record == TrialRecord(
+            nbar=record.nbar,
+            trial=record.trial,
+            success=run.success,
+            iterations=run.iterations,
+            final_error=run.final_error,
+            stop_reason=run.stop_reason,
+            x0_norm=frobenius_norm(X0),
+            last_step_norm=run.step_norms[-1],
+            retries=sum(retries),
+            most_retries=max(retries),
+            retry_iterations=np.count_nonzero(retries),
+            mu_ratio=run.mus[-1] / run.mus[0],
+            first_mu_fallback=run.trace[0].mu_fallback,
+            max_eps_ratio=run.eps_ratios.max(),
+            digest=_digest(run.mus, run.residuals, run.step_norms, np.array(retries, dtype=np.int64), run.tensor),
+        )
+        # plain values only, so the pool pickles little and records compare with ==
+        assert {type(v) for v in record} <= {int, float, bool, str}
+
+
+def test_a_run_stopped_before_its_first_iteration_records_none():
+    # the gradient A*(y) overflows, so the run diverges at iteration 0
+    X0 = generate_test_tensor((3, 3, 3), (1, 1, 1), seed=0)
+    A = GaussianEnsemble(1e250 * np.eye(27), (3, 3, 3))
+    run = tiht_run(A, A.apply(X0), SolverConfig(rank=(1, 1, 1)), X_ref=X0, success_threshold=1e-3)
+    empty = np.array([])
+    assert trial_record(7, 3, X0, run) == TrialRecord(
+        nbar=7,
+        trial=3,
+        success=False,
+        iterations=0,
+        final_error=frobenius_norm(X0),
+        stop_reason="diverged",
+        x0_norm=frobenius_norm(X0),
+        last_step_norm=None,
+        retries=0,
+        most_retries=None,
+        retry_iterations=0,
+        mu_ratio=None,
+        first_mu_fallback=None,
+        max_eps_ratio=None,
+        digest=_digest(empty, empty, empty, np.array([], dtype=np.int64), np.zeros((3, 3, 3))),
     )
 
 

@@ -36,6 +36,8 @@ def test_tree_nested_roundtrip_and_validation():
         DimensionTree((0, (2, 3)))  # gap between sons
     with pytest.raises(ValueError):
         DimensionTree((0, 1, 2))  # not binary
+    with pytest.raises(ValueError, match="starting at 0"):
+        DimensionTree((1, 2))  # the root does not start at mode 0
 
 
 def test_single_leaf_tree_is_rejected():

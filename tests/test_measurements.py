@@ -32,6 +32,8 @@ def test_identity_matrix_ensemble_is_vec():
     X = rng.standard_normal(shape)
     assert np.array_equal(A.apply(X), vec(X))
     assert np.array_equal(A.adjoint(A.apply(X)), X)
+    with pytest.raises(ValueError, match=r"matrix shape \(12, 12\) does not match \(12, 18\)"):
+        GaussianEnsemble(np.eye(12), (2, 3, 3))
 
 
 def test_linearity():

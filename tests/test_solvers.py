@@ -189,6 +189,8 @@ def test_build_mj_matrix_case_is_two_sided_projection():
     PV = Vt[:r].T @ Vt[:r]
     Z = rng.standard_normal((6, 7))
     assert np.allclose(proj(Z), PU @ Z @ PV, atol=1e-12)
+    with pytest.raises(ValueError, match=r"shape \(7, 6\) does not match projector shape \(6, 7\)"):
+        proj(Z.T)
 
 
 def test_build_mj_padded_on_rank_deficient_iterate():
